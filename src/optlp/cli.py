@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="benchmark a directory of MPS files")
     p_bench.add_argument("dir")
     p_bench.add_argument("--tol", type=float, default=1e-8)
-    p_bench.add_argument("--max-iter", type=int, default=200)
+    p_bench.add_argument("--max-iter", type=int, default=1000)
     p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_bench.set_defaults(func=cmd_bench)

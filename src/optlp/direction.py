@@ -8,15 +8,18 @@ The Newton system solved implicitly here is
 
 with the update convention (x,y,s) <- (x - alpha dx, y - alpha dy, s - alpha ds).
 Rather than forming the inverses of the reduced systems directly, the
-directions come from two QR factorizations of scaled bases, which stays
-accurate as components of x and s approach zero:
+directions come from one thin QR factorization of the scaled row space,
+which stays accurate as components of x and s approach zero:
 
-    Q1 R1 = D^-1 Ahat      (Ahat an orthonormal null-space basis of A)
     Q2 R2 = D A^T          (D = diag(sqrt(x_i / s_i)))
 
-dx splits as p_x - sigma q_x and ds as p_s - sigma q_s, where p/q vectors are
-projections of sqrt(x o s) and mu / sqrt(x o s) onto the two (mutually
-orthogonal, jointly complete) column spaces, rescaled by D.
+dx splits as p_x - sigma q_x and ds as p_s - sigma q_s, where the p/q vectors
+are projections of sqrt(x o s) and mu / sqrt(x o s) onto range(D A^T) and
+onto its orthogonal complement range(D^-1 Z) (Z any null-space basis of A;
+for Az = 0, (D^-1 z)^T (D A^T u) = (Az)^T u = 0), rescaled by D. The
+complement projector is I - Q2 Q2^T, applied twice because one pass loses
+accuracy to cancellation when most of a vector lies in range(D A^T)
+("twice is enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
 """
 
 from __future__ import annotations
@@ -36,14 +39,13 @@ MAX_SCALING_RATIO = 1e16
 
 @dataclass(frozen=True)
 class FactorCache:
-    """QR products of one iterate's scaled bases.
+    """Thin QR of one iterate's scaled row space, q2 r2 = D A^T.
 
-    q1 (n x (n-m)) spans the scaled null space of A, q2 (n x m) the scaled
-    row space; together they form a square orthogonal matrix. r2 is kept to
+    q2 (n x m) has orthonormal columns spanning range(D A^T); I - q2 q2^T
+    projects onto the scaled null space range(D^-1 Z) of A. r2 is kept to
     recover the dual direction by back-substitution. d holds sqrt(x_i/s_i).
     """
 
-    q1: np.ndarray
     q2: np.ndarray
     d: np.ndarray
     r2: np.ndarray
@@ -90,8 +92,8 @@ class StepPolynomials:
     r: np.ndarray
 
 
-def build_factors(lp: StandardLp, it: Iterate, nullbasis: np.ndarray) -> FactorCache:
-    """Factor the scaled null-space and row-space bases at an iterate."""
+def build_factors(lp: StandardLp, it: Iterate) -> FactorCache:
+    """Factor the scaled row space D A^T at an iterate."""
     x, s = it.x, it.s
     ratio = x / s
     bad = np.where((ratio > MAX_SCALING_RATIO) | (ratio < 1.0 / MAX_SCALING_RATIO))[0]
@@ -101,28 +103,27 @@ def build_factors(lp: StandardLp, it: Iterate, nullbasis: np.ndarray) -> FactorC
             f"x[{i}]/s[{i}] = {ratio[i]:.3e} exceeds the factorization range", index=i
         )
     d = np.sqrt(ratio)
-    f1 = qr_thin(nullbasis / d[:, None])
-    f2 = qr_thin(lp.a.T * d[:, None])
-    if not (np.isfinite(f1.q).all() and np.isfinite(f2.q).all()):
+    f = qr_thin(lp.a.T * d[:, None])
+    if not np.isfinite(f.q).all():
         raise IllConditionedError("scaled QR factors are not finite", index=-1)
-    return FactorCache(q1=f1.q, q2=f2.q, d=d, r2=f2.r)
+    return FactorCache(q2=f.q, d=d, r2=f.r)
 
 
 def decompose(cache: FactorCache, it: Iterate) -> DirectionDecomposition:
     """Split the Newton direction into its sigma-independent components."""
-    d = cache.d
+    d, q2 = cache.d, cache.q2
     v = np.sqrt(it.x * it.s)  # sqrt(x o s)
-    w = it.mu / v  # mu (x o s)^{-1/2}
-
-    def proj(qmat, vec):
-        return qmat @ (qmat.T @ vec)
-
-    p_x = d * proj(cache.q1, v)
-    q_x = d * proj(cache.q1, w)
-    p_s = proj(cache.q2, v) / d
-    q_s = proj(cache.q2, w) / d
-    y_p = solve_upper_triangular(cache.r2, cache.q2.T @ v)
-    y_q = solve_upper_triangular(cache.r2, cache.q2.T @ w)
+    vw = np.column_stack((v, it.mu / v))  # [v, mu (x o s)^{-1/2}]
+    coeffs = q2.T @ vw
+    row = q2 @ coeffs
+    null = vw - row
+    # second pass: the first leaves a range(q2) part of size eps ||vw||,
+    # which is large against a small null-space part
+    null -= q2 @ (q2.T @ null)
+    p_x, q_x = d * null[:, 0], d * null[:, 1]
+    p_s, q_s = row[:, 0] / d, row[:, 1] / d
+    y = solve_upper_triangular(cache.r2, coeffs)
+    y_p, y_q = y[:, 0], y[:, 1]
     return DirectionDecomposition(p_x=p_x, q_x=q_x, p_s=p_s, q_s=q_s, y_p=y_p, y_q=y_q)
 
 

@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernels: QR factorizations, null-space bases,
-rank detection and triangular solves.
+"""Dense linear-algebra kernels: thin QR factorizations, rank detection
+and triangular solves.
 
 Matrices are plain 2-d float64 ``numpy`` arrays in row-major (C) layout.
 """
@@ -11,23 +11,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidInputError, RankDeficientError
+from .errors import InvalidInputError
 
 DEFAULT_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class QrFactors:
-    """Thin QR product: ``q @ r == input[:, column_permutation]``.
+    """Thin QR product, unpivoted: ``q @ r == input``.
 
     ``q`` has orthonormal columns, ``r`` is upper triangular with a
-    nonnegative diagonal. ``column_permutation`` is the identity unless the
-    factorization pivoted.
+    nonnegative diagonal.
     """
 
     q: np.ndarray
     r: np.ndarray
-    column_permutation: np.ndarray
 
 
 def as_matrix(mat) -> np.ndarray:
@@ -41,7 +39,8 @@ def as_matrix(mat) -> np.ndarray:
 
 
 def qr_thin(mat) -> QrFactors:
-    """Householder thin QR of a tall matrix (rows >= cols).
+    """Householder thin QR, without column pivoting, of a tall matrix
+    (rows >= cols).
 
     The sign ambiguity is fixed by making the diagonal of R nonnegative,
     so results are deterministic and e.g. qr_thin of the identity is
@@ -53,32 +52,13 @@ def qr_thin(mat) -> QrFactors:
         raise InvalidInputError(f"qr_thin needs rows >= cols, got {rows}x{cols}")
     q, r = np.linalg.qr(a, mode="reduced")
     q, r = _normalize_signs(q, r)
-    return QrFactors(q=q, r=r, column_permutation=np.arange(cols))
+    return QrFactors(q=q, r=r)
 
 
 def _normalize_signs(q: np.ndarray, r: np.ndarray):
     flip = np.sign(np.diag(r))
     flip[flip == 0.0] = 1.0
     return q * flip, r * flip[:, None]
-
-
-def null_space_basis(a) -> np.ndarray:
-    """Orthonormal basis for the null space of a full-row-rank m x n matrix.
-
-    Taken as the trailing n-m columns of the full QR of ``a.T``, which makes
-    the basis orthonormal; callers rely on that for conditioning.
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m >= n:
-        raise InvalidInputError(f"null_space_basis needs m < n, got {m}x{n}")
-    rank, _ = rank_reveal(a, DEFAULT_RANK_TOL)
-    if rank < m:
-        raise RankDeficientError(
-            f"matrix is rank deficient: detected rank {rank} < {m} rows", rank=rank
-        )
-    q, _ = np.linalg.qr(a.T, mode="complete")
-    return np.ascontiguousarray(q[:, m:])
 
 
 def rank_reveal(a, rel_tol: float = DEFAULT_RANK_TOL) -> tuple[int, list[int]]:

@@ -16,7 +16,7 @@ from .direction import (
     step_polynomials,
 )
 from .errors import IllConditionedError, InvalidInputError, NoFeasibleStepError
-from .linalg import least_squares, min_norm_solution, null_space_basis, qr_thin, rank_reveal
+from .linalg import least_squares, min_norm_solution, qr_thin, rank_reveal
 from .model import (
     Iterate,
     SolverConfig,
@@ -150,7 +150,6 @@ def solve(
         log.info("%s: %s", lp.name or "LP", reason)
         return SolveReport(STATUS_NO_START, [], start, lp.objective(start.x))
 
-    nullbasis = null_space_basis(lp.a)
     it = start
     records: list[IterationRecord] = []
     if stopping_criterion(lp, it, cfg.tol):
@@ -159,7 +158,7 @@ def solve(
     status = STATUS_MAX_ITER
     for k in range(1, cfg.max_iter + 1):
         try:
-            cache = build_factors(lp, it, nullbasis)
+            cache = build_factors(lp, it)
             dec = decompose(cache, it)
             sp = step_polynomials(dec, cfg.theta, it.mu)
             pair = select_step(sp, cfg.a0_zero_rel_tol)
@@ -212,7 +211,6 @@ def solve_shortstep_baseline(
         return SolveReport(STATUS_NO_START, [], start, lp.objective(start.x))
 
     sigma = 1.0 - 0.4 / math.sqrt(lp.n)
-    nullbasis = null_space_basis(lp.a)
     it = start
     records: list[IterationRecord] = []
     if stopping_criterion(lp, it, cfg.tol):
@@ -221,7 +219,7 @@ def solve_shortstep_baseline(
     status = STATUS_MAX_ITER
     for k in range(1, cfg.max_iter + 1):
         try:
-            cache = build_factors(lp, it, nullbasis)
+            cache = build_factors(lp, it)
             dec = decompose(cache, it)
         except IllConditionedError as exc:
             log.warning("%s: breakdown at iteration %d: %s", lp.name or "LP", k, exc)

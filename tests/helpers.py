@@ -1,13 +1,15 @@
 """Shared oracles and fixtures-in-code for the test suite.
 
 Everything here is deliberately independent of the production code paths it
-checks: the KKT oracle solves the Newton system densely, the feasibility
+checks: the KKT oracles solve the Newton system densely (one in float64, one
+in extended precision with ``mpmath``), the feasibility
 grid enumerates (sigma, alpha) pairs by brute force, and random iterates are
 built from explicit null-space / row-space perturbations.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 from optlp.model import Iterate, neighborhood_distance
@@ -32,6 +34,35 @@ def dense_kkt_direction(a, x, s, sigma):
     rhs = np.concatenate([np.zeros(m + n), x * s - sigma * mu])
     sol = np.linalg.solve(kkt, rhs)
     return sol[:n], sol[n:n + m], sol[n + m:]
+
+
+def mp_kkt_direction(a, x, s, sigma, dps=40):
+    """The Newton direction (dx, dy, ds) of ``dense_kkt_direction``, solved at
+    ``dps`` decimal digits and rounded to float64.
+
+    Eliminating dx = (r - x o ds) / s and ds = -A^T dy leaves the normal
+    equations (A X S^-1 A^T) dy = -A (r / s), with r = x o s - sigma mu e.
+    The inputs are taken as exact binary values; 40 digits leave about 16
+    correct ones even when x_i/s_i spans 1e-12 to 1e12 near the optimum.
+    """
+    with mpmath.workdps(dps):
+        m, n = a.shape
+        amp = [[mpmath.mpf(float(v)) for v in row] for row in a]
+        xmp = [mpmath.mpf(float(v)) for v in x]
+        smp = [mpmath.mpf(float(v)) for v in s]
+        mu = mpmath.fsum(xi * si for xi, si in zip(xmp, smp)) / n
+        r = [xi * si - sigma * mu for xi, si in zip(xmp, smp)]
+        normal = mpmath.matrix(m, m)
+        for i in range(m):
+            for j in range(i, m):
+                normal[i, j] = normal[j, i] = mpmath.fsum(
+                    amp[i][k] * amp[j][k] * xmp[k] / smp[k] for k in range(n))
+        rhs = mpmath.matrix([-mpmath.fsum(amp[i][k] * r[k] / smp[k] for k in range(n))
+                             for i in range(m)])
+        dy = mpmath.lu_solve(normal, rhs)
+        ds = [-mpmath.fsum(amp[i][k] * dy[i] for i in range(m)) for k in range(n)]
+        dx = [(r[k] - xmp[k] * ds[k]) / smp[k] for k in range(n)]
+    return tuple(np.array([float(v) for v in vec]) for vec in (dx, list(dy), ds))
 
 
 def random_interior_iterate(lp, start, rng, spread=0.5, theta=0.99):

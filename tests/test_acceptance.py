@@ -12,7 +12,6 @@ import numpy as np
 
 from optlp.cli import main as cli_main, read_start_file
 from optlp.direction import assemble_direction, build_factors, decompose, step_polynomials
-from optlp.linalg import null_space_basis
 from optlp.model import Iterate, SolverConfig, residuals
 from optlp.mps import parse_mps, to_standard_form
 from optlp.solver import (
@@ -41,7 +40,7 @@ def _report(criterion, ok, detail=""):
 
 
 def _direction_at(lp, it, theta=0.99):
-    cache = build_factors(lp, it, null_space_basis(lp.a))
+    cache = build_factors(lp, it)
     dec = decompose(cache, it)
     return dec, step_polynomials(dec, theta, it.mu)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from optlp.cli import (
 )
 from optlp.mps import format_mps, from_standard_lp
 from optlp.solver import generate_synthetic
+
+NETLIB = Path(__file__).parent / "data" / "netlib"
 
 
 @pytest.fixture()
@@ -184,6 +187,17 @@ def test_bench_synthetic_instance_row(tmp_path, capsys):
     assert fields[0] == "synth"
     assert int(fields[1]) >= 1
     assert fields[3] == ""  # paper_iters absent for non-reference problems
+
+
+def test_bench_default_max_iter_covers_shortstep_on_afiro(capsys):
+    # the short-step baseline needs a few hundred iterations on AFIRO
+    code = main(["bench", str(NETLIB)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    rows = {line.split(",")[0]: line.split(",") for line in captured.out.splitlines()[1:]}
+    _, opt_iters, base_iters, paper_iters = rows["afiro"]
+    assert int(opt_iters) >= 1 and int(base_iters) >= 1
+    assert paper_iters == "4"
 
 
 def test_bench_continues_past_unreadable_file(tmp_path, capsys):

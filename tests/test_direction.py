@@ -1,6 +1,11 @@
+from collections import deque
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from optlp.cli import read_start_file
 from optlp.direction import (
     assemble_direction,
     build_factors,
@@ -8,11 +13,18 @@ from optlp.direction import (
     step_polynomials,
 )
 from optlp.errors import IllConditionedError, InvalidInputError
-from optlp.linalg import null_space_basis
-from optlp.model import Iterate, StandardLp
-from optlp.solver import generate_synthetic
+from optlp.model import Iterate, SolverConfig, StandardLp
+from optlp.mps import parse_mps, to_standard_form
+from optlp.solver import STATUS_OPTIMAL, generate_synthetic, solve
 
-from helpers import dense_kkt_direction, random_interior_iterate
+from helpers import (
+    dense_kkt_direction,
+    mp_kkt_direction,
+    random_interior_iterate,
+    synthetic_family,
+)
+
+NETLIB = Path(__file__).parent / "data" / "netlib"
 
 
 @pytest.fixture(scope="module")
@@ -20,33 +32,38 @@ def problem():
     return generate_synthetic(14, 6, seed=77)
 
 
-def _factors(lp, it):
-    return build_factors(lp, it, null_space_basis(lp.a))
-
-
 def test_build_factors_unit_scaling(problem):
     lp, start = problem
-    cache = _factors(lp, start)
+    cache = build_factors(lp, start)
     assert np.allclose(cache.d, 1.0)
-    # Q1 spans null(A), Q2 spans range(A^T)
-    assert np.max(np.abs(lp.a @ cache.q1)) <= 1e-10 * np.max(np.abs(lp.a))
+    # Q2 spans range(A^T); its complement I - Q2 Q2^T projects onto null(A)
     proj = cache.q2 @ (cache.q2.T @ lp.a.T)
     assert np.allclose(proj, lp.a.T, atol=1e-10)
+    complement = np.eye(lp.n) - cache.q2 @ cache.q2.T
+    assert np.max(np.abs(lp.a @ complement)) <= 1e-10 * np.max(np.abs(lp.a))
+    z = scipy.linalg.null_space(lp.a)
+    assert z.shape[1] + lp.m == lp.n
+    assert np.max(np.abs(cache.q2.T @ z)) <= 1e-12
 
 
 def test_build_factors_orthonormal_and_complementary(problem):
     lp, start = problem
+    z = scipy.linalg.null_space(lp.a)
+    assert z.shape[1] + lp.m == lp.n
     rng = np.random.default_rng(5)
     for _ in range(5):
         it = random_interior_iterate(lp, start, rng)
-        cache = _factors(lp, it)
-        k1 = cache.q1.shape[1]
+        cache = build_factors(lp, it)
         k2 = cache.q2.shape[1]
-        assert np.max(np.abs(cache.q1.T @ cache.q1 - np.eye(k1))) <= 1e-12
         assert np.max(np.abs(cache.q2.T @ cache.q2 - np.eye(k2))) <= 1e-12
-        assert np.max(np.abs(cache.q1.T @ cache.q2)) <= 1e-12
-        combined = cache.q1 @ cache.q1.T + cache.q2 @ cache.q2.T
+        # an independent orthonormal basis of the scaled null space range(D^-1 Z)
+        q1, _ = np.linalg.qr(z / cache.d[:, None])
+        assert np.max(np.abs(cache.q2.T @ q1)) <= 1e-12
+        combined = q1 @ q1.T + cache.q2 @ cache.q2.T
         assert np.max(np.abs(combined - np.eye(lp.n))) <= 1e-9
+        dec = decompose(cache, it)
+        for u in (dec.p_x, dec.q_x):
+            assert np.max(np.abs(lp.a @ u)) <= 1e-10 * np.max(np.abs(lp.a)) * np.linalg.norm(u)
 
 
 def test_build_factors_ill_conditioning_error(problem):
@@ -55,14 +72,14 @@ def test_build_factors_ill_conditioning_error(problem):
     x[3] = 1e20
     it = Iterate(x, start.y, start.s)
     with pytest.raises(IllConditionedError) as exc:
-        _factors(lp, it)
+        build_factors(lp, it)
     assert exc.value.index == 3
 
 
 def test_decompose_centered_point_merges_pq(problem):
     lp, start = problem
     # x o s = mu e exactly at the built-in start
-    dec = decompose(_factors(lp, start), start)
+    dec = decompose(build_factors(lp, start), start)
     assert np.allclose(dec.q_x, dec.p_x, atol=1e-12)
     assert np.allclose(dec.q_s, dec.p_s, atol=1e-12)
 
@@ -72,7 +89,7 @@ def test_decompose_two_variable_hand_case():
     # p_s the projection on span(1,1) -> e
     lp = StandardLp(np.array([[1.0, 1.0]]), np.array([2.0]), np.array([1.0, 1.0]))
     it = Iterate([1.0, 1.0], [0.0], [1.0, 1.0])
-    dec = decompose(_factors(lp, it), it)
+    dec = decompose(build_factors(lp, it), it)
     assert np.allclose(dec.p_x, 0.0, atol=1e-14)
     assert np.allclose(dec.p_s, 1.0, atol=1e-14)
 
@@ -82,7 +99,7 @@ def test_decompose_split_identities(problem):
     rng = np.random.default_rng(6)
     for _ in range(8):
         it = random_interior_iterate(lp, start, rng)
-        dec = decompose(_factors(lp, it), it)
+        dec = decompose(build_factors(lp, it), it)
         xs = it.x * it.s
         assert np.allclose(it.s * dec.p_x + it.x * dec.p_s, xs, rtol=1e-10, atol=1e-12)
         assert np.allclose(
@@ -105,7 +122,7 @@ def test_decompose_split_identities(problem):
 def test_assemble_direction_hand_case_sigma_zero():
     lp = StandardLp(np.array([[1.0, 1.0]]), np.array([2.0]), np.array([1.0, 1.0]))
     it = Iterate([1.0, 1.0], [0.0], [1.0, 1.0])
-    dec = decompose(_factors(lp, it), it)
+    dec = decompose(build_factors(lp, it), it)
     dx, dy, ds = assemble_direction(dec, 0.0)
     ex_dx, ex_dy, ex_ds = dense_kkt_direction(lp.a, it.x, it.s, 0.0)
     assert np.allclose(dx, ex_dx, atol=1e-12)
@@ -118,7 +135,7 @@ def test_assemble_direction_hand_case_sigma_zero():
 
 def test_assemble_direction_centered_sigma_one(problem):
     lp, start = problem
-    dec = decompose(_factors(lp, start), start)
+    dec = decompose(build_factors(lp, start), start)
     dx, dy, ds = assemble_direction(dec, 1.0)
     assert np.max(np.abs(dx)) <= 1e-12
     assert np.max(np.abs(ds)) <= 1e-12
@@ -129,7 +146,7 @@ def test_assemble_direction_newton_residuals(problem):
     rng = np.random.default_rng(9)
     for sigma in (0.0, 0.31, 0.5, 1.0):
         it = random_interior_iterate(lp, start, rng)
-        dec = decompose(_factors(lp, it), it)
+        dec = decompose(build_factors(lp, it), it)
         dx, dy, ds = assemble_direction(dec, sigma)
         rhs = it.x * it.s - sigma * it.mu
         scale = max(np.max(np.abs(rhs)), 1e-30)
@@ -142,7 +159,7 @@ def test_assemble_direction_newton_residuals(problem):
 
 def test_assemble_direction_sigma_bounds(problem):
     lp, start = problem
-    dec = decompose(_factors(lp, start), start)
+    dec = decompose(build_factors(lp, start), start)
     with pytest.raises(InvalidInputError):
         assemble_direction(dec, -0.1)
     with pytest.raises(InvalidInputError):
@@ -155,12 +172,33 @@ def test_qr_route_matches_dense_solve(problem):
     for _ in range(6):
         it = random_interior_iterate(lp, start, rng)
         sigma = float(rng.uniform(0.0, 1.0))
-        dec = decompose(_factors(lp, it), it)
+        dec = decompose(build_factors(lp, it), it)
         dx, dy, ds = assemble_direction(dec, sigma)
         ex_dx, ex_dy, ex_ds = dense_kkt_direction(lp.a, it.x, it.s, sigma)
         for got, ref in ((dx, ex_dx), (dy, ex_dy), (ds, ex_ds)):
             denom = max(np.linalg.norm(ref), 1e-30)
             assert np.linalg.norm(got - ref) <= 1e-8 * max(denom, 1.0)
+
+
+def test_directions_match_extended_precision_kkt_near_the_optimum():
+    # the last iterates of a tight solve have x_i/s_i spread over ~1e-12..1e12,
+    # where the complement projection I - Q2 Q2^T is most prone to cancellation
+    afiro, _ = to_standard_form(parse_mps((NETLIB / "afiro.mps").read_text()))
+    afiro_start = read_start_file(NETLIB / "afiro.start", afiro.n, afiro.m)
+    worst = 0.0
+    for lp, start in synthetic_family(9, n_max=24) + [(afiro, afiro_start)]:
+        last = deque(maxlen=3)
+        report = solve(lp, start, SolverConfig(tol=1e-12),
+                       observer=lambda k, it, dec, sp, pair: last.append((it, dec)))
+        assert report.status == STATUS_OPTIMAL
+        for it, dec in last:
+            for sigma in (0.0, 0.5):
+                dx, _, ds = assemble_direction(dec, sigma)
+                ref_dx, _, ref_ds = mp_kkt_direction(lp.a, it.x, it.s, sigma)
+                err = max(np.max(np.abs((dx - ref_dx) * it.s)),
+                          np.max(np.abs((ds - ref_ds) * it.x)))
+                worst = max(worst, err / it.mu)
+    assert worst <= 1e-12
 
 
 def test_gap_identity_inner_products(problem):
@@ -169,7 +207,7 @@ def test_gap_identity_inner_products(problem):
     for _ in range(6):
         it = random_interior_iterate(lp, start, rng)
         sigma = float(rng.uniform(0.0, 1.0))
-        dec = decompose(_factors(lp, it), it)
+        dec = decompose(build_factors(lp, it), it)
         dx, _, ds = assemble_direction(dec, sigma)
         lhs = float(it.s @ dx + it.x @ ds)
         rhs = float(it.x @ it.s) - sigma * it.mu * lp.n
@@ -202,7 +240,7 @@ def test_step_polynomial_coefficients_match_quartic_norm(problem):
     rng = np.random.default_rng(15)
     for _ in range(5):
         it = random_interior_iterate(lp, start, rng)
-        dec = decompose(_factors(lp, it), it)
+        dec = decompose(build_factors(lp, it), it)
         sp = step_polynomials(dec, theta=0.99, mu=it.mu)
         assert sp.a0 >= 0.0 and sp.a4 >= 0.0
         assert sp.a0 == pytest.approx(float(sp.p @ sp.p), rel=1e-12)

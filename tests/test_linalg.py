@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from optlp.errors import InvalidInputError, RankDeficientError
+from optlp.errors import InvalidInputError
 from optlp.linalg import (
     least_squares,
     min_norm_solution,
-    null_space_basis,
     qr_thin,
     rank_reveal,
     solve_upper_triangular,
@@ -41,35 +40,6 @@ def test_qr_thin_rejects_nonfinite_and_wide():
         qr_thin(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
         qr_thin(np.ones((2, 3)))
-
-
-def test_null_space_basis_row_of_ones():
-    basis = null_space_basis(np.array([[1.0, 1.0]]))
-    assert basis.shape == (2, 1)
-    expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert np.allclose(basis[:, 0], expected) or np.allclose(basis[:, 0], -expected)
-
-
-def test_null_space_basis_coordinate():
-    basis = null_space_basis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    assert basis.shape == (3, 1)
-    assert np.allclose(np.abs(basis[:, 0]), [0.0, 0.0, 1.0])
-
-
-def test_null_space_basis_properties_random():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 9))
-    basis = null_space_basis(a)
-    assert basis.shape == (9, 5)
-    assert np.max(np.abs(a @ basis)) <= 1e-10 * np.max(np.abs(a))
-    assert np.max(np.abs(basis.T @ basis - np.eye(5))) <= 1e-12
-
-
-def test_null_space_basis_rank_deficient():
-    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-    with pytest.raises(RankDeficientError) as exc:
-        null_space_basis(a)
-    assert exc.value.rank == 1
 
 
 def test_rank_reveal_duplicated_row():

@@ -5,7 +5,6 @@ import pytest
 
 from optlp.direction import assemble_direction, build_factors, decompose
 from optlp.errors import InvalidInputError, NoFeasibleStepError
-from optlp.linalg import null_space_basis
 from optlp.model import Iterate, SolverConfig, StandardLp, neighborhood_distance, residuals
 from optlp.solver import (
     STATUS_NO_START,
@@ -110,8 +109,7 @@ def test_safeguarded_step_full_alpha_on_clean_pair():
     # backtracking was needed; on this well-conditioned run none should be
     assert all(rec.alpha > 0 for rec in report.iterations)
     cfg = SolverConfig()
-    nullbasis = null_space_basis(lp.a)
-    dec = decompose(build_factors(lp, start, nullbasis), start)
+    dec = decompose(build_factors(lp, start), start)
     from optlp.direction import step_polynomials
     from optlp.stepsel import select_step
 

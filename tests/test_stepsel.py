@@ -5,7 +5,6 @@ import pytest
 
 from optlp.direction import StepPolynomials, build_factors, decompose, step_polynomials
 from optlp.errors import DegenerateInputError, InvalidInputError, NoFeasibleStepError
-from optlp.linalg import null_space_basis
 from optlp.solver import generate_synthetic
 from optlp.stepsel import (
     CandidatePair,
@@ -93,10 +92,9 @@ def test_eval_g_endpoints():
 def test_eval_h_is_quartic_norm_and_links_to_f():
     rng = np.random.default_rng(4)
     lp, start = generate_synthetic(12, 5, seed=40)
-    nullbasis = null_space_basis(lp.a)
     for _ in range(5):
         it = random_interior_iterate(lp, start, rng)
-        dec = decompose(build_factors(lp, it, nullbasis), it)
+        dec = decompose(build_factors(lp, it), it)
         sp = step_polynomials(dec, theta=0.9, mu=it.mu)
         assert eval_h(sp, 0.0) == sp.a0
         for _ in range(10):
@@ -177,12 +175,11 @@ def test_roots_random_reconstruction():
 
 def harvested_polynomials(count=40, theta=0.99):
     lp, start = generate_synthetic(18, 7, seed=90)
-    nullbasis = null_space_basis(lp.a)
     rng = np.random.default_rng(17)
     out = []
     for _ in range(count):
         it = random_interior_iterate(lp, start, rng, theta=theta)
-        dec = decompose(build_factors(lp, it, nullbasis), it)
+        dec = decompose(build_factors(lp, it), it)
         out.append(step_polynomials(dec, theta, it.mu))
     return out
 

@@ -16,7 +16,6 @@ from scipy.optimize import linprog
 
 from optlp.cli import write_start_file
 from optlp.direction import assemble_direction, build_factors, decompose
-from optlp.linalg import null_space_basis
 from optlp.model import Iterate, neighborhood_distance
 from optlp.mps import parse_mps, to_standard_form
 
@@ -50,12 +49,11 @@ def max_margin_dual(a, c_vec):
 
 
 def center(lp, it, target=0.25, max_steps=400):
-    nullbasis = null_space_basis(lp.a)
     for k in range(max_steps):
         dist = neighborhood_distance(it.x, it.s)
         if dist <= target * it.mu:
             return it, k
-        dec = decompose(build_factors(lp, it, nullbasis), it)
+        dec = decompose(build_factors(lp, it), it)
         dx, dy, ds = assemble_direction(dec, 1.0)
         alpha = 1.0
         for _ in range(60):
