@@ -1,5 +1,5 @@
 """Feasible primal-dual path-following LP solver that picks the centering
-parameter and step length jointly, by closed-form quartic root finding."""
+parameter and step length jointly, from the roots of two quartics in (0, 1)."""
 
 from .errors import (
     DegenerateInputError,
@@ -8,7 +8,6 @@ from .errors import (
     MpsParseError,
     NoFeasibleStepError,
     OptLpError,
-    RankDeficientError,
     UnsupportedMpsFeatureError,
 )
 from .model import Iterate, SolverConfig, StandardLp
@@ -32,7 +31,6 @@ __all__ = [
     "MpsProblem",
     "NoFeasibleStepError",
     "OptLpError",
-    "RankDeficientError",
     "SolveReport",
     "SolverConfig",
     "StandardLp",

@@ -9,18 +9,6 @@ class InvalidInputError(OptLpError, ValueError):
     """Malformed or non-finite numerical input."""
 
 
-class RankDeficientError(OptLpError):
-    """A matrix required to have full row rank does not.
-
-    Carries the numerically detected rank so callers can decide whether to
-    reduce the system or abort.
-    """
-
-    def __init__(self, message: str, rank: int):
-        super().__init__(message)
-        self.rank = rank
-
-
 class IllConditionedError(OptLpError):
     """An iterate produced scaling ratios too extreme to factor reliably.
 

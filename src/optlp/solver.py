@@ -130,6 +130,23 @@ def safeguarded_step(
     )
 
 
+def _exact_step(
+    it: Iterate, direction: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> Iterate | None:
+    """The full pure Newton step, which lands on an optimal boundary point.
+
+    Components of x (or s) that come out negative by no more than roundoff,
+    |x_i| <= eps ||x||, are set to zero. None when one is more negative than
+    that; the caller then takes the safeguarded step instead.
+    """
+    dx, dy, ds = direction
+    x, s = it.x - dx, it.s - ds
+    for v in (x, s):
+        if np.min(v) < -np.finfo(float).eps * np.linalg.norm(v):
+            return None
+    return Iterate.terminal(np.maximum(x, 0.0), it.y - dy, np.maximum(s, 0.0))
+
+
 def solve(
     lp: StandardLp,
     start: Iterate,
@@ -168,14 +185,14 @@ def solve(
             break
         if observer is not None:
             observer(k, it, dec, sp, pair)
-        if pair.origin == "a0_zero":
-            # exact Newton step: lands on an optimal (boundary) point
-            dx, dy, ds = assemble_direction(dec, 0.0)
-            it = Iterate.terminal(it.x - dx, it.y - dy, it.s - ds)
-            records.append(_make_record(lp, k, it, pair.sigma, pair.alpha, pair.origin))
-            status = STATUS_OPTIMAL
-            break
         direction = assemble_direction(dec, pair.sigma)
+        if pair.origin == "a0_zero":
+            terminal = _exact_step(it, direction)
+            if terminal is not None:
+                it = terminal
+                records.append(_make_record(lp, k, it, pair.sigma, pair.alpha, pair.origin))
+                status = STATUS_OPTIMAL
+                break
         try:
             it, alpha = safeguarded_step(it, direction, pair, cfg)
         except NoFeasibleStepError as exc:

@@ -14,13 +14,14 @@ paired with alpha = 1, and the roots of the stationarity quartic
                + (4 a0 + a1) s - 2 a0
 
 each paired with alpha = theta mu sigma / sqrt(h(sigma)), where
-h(sigma) = a4 s^4 - a3 s^3 + a2 s^2 - a1 s + a0. All quartics are solved in
-closed form (resolvent cubic) and polished.
+h(sigma) = a4 s^4 - a3 s^3 + a2 s^2 - a1 s + a0. Only roots in (0, 1)
+matter: the roots of each quartic's derivatives cut [0, 1] into pieces on
+which it is monotone, and each sign change is refined by safeguarded
+Newton-bisection.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,19 +29,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, NoFeasibleStepError
 from .direction import StepPolynomials
-
-# Leading coefficients at or below this relative size are treated as zero
-# when picking the closed-form branch; the polish step always works against
-# the full coefficient set.
-_LEADING_TOL = 1e-14
-
-# Project a closed-form root onto the real axis when its imaginary part is
-# at most this (roots of interest live in (0,1), so an absolute threshold is
-# meaningful); double roots come back from the resolvent with spurious
-# imaginary parts up to ~sqrt(eps). Projected candidates must then survive
-# the residual check below, which weeds out genuinely complex pairs.
-_IMAG_TOL = 1e-5
-_RESIDUAL_TOL = 1e-9
 
 _FALLBACK_GRID = 64
 
@@ -113,199 +101,88 @@ def g_poly(sp: StepPolynomials) -> QuarticPoly:
 
 
 # ---------------------------------------------------------------------------
-# closed-form root finding
+# root finding on [0, 1]
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
-def _poly_eval(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+def _horner(coeffs, x: float) -> tuple[float, float]:
+    """p(x) by Horner's rule and its running rounding-error bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, Alg. 5.1)."""
+    y = coeffs[0]
+    bound = 0.5 * abs(y)
+    for c in coeffs[1:]:
+        y = y * x + c
+        bound = bound * abs(x) + abs(y)
+    return y, _UNIT_ROUNDOFF * (2.0 * bound - abs(y))
 
 
-def _poly_deriv(coeffs: list[float]) -> list[float]:
-    deg = len(coeffs) - 1
-    return [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
+def _resolved(coeffs, x: float) -> float:
+    """p(x), or 0.0 when rounding error could account for all of it."""
+    y, bound = _horner(coeffs, x)
+    return 0.0 if abs(y) <= bound else y
 
 
-def _quadratic_roots(b: complex, c: complex) -> tuple[complex, complex]:
-    # x^2 + b x + c, complex-safe with the cancellation-avoiding pairing
-    sq = cmath.sqrt(b * b - 4.0 * c)
-    if (b.conjugate() * sq).real >= 0.0:
-        q = -0.5 * (b + sq)
-    else:
-        q = -0.5 * (b - sq)
-    if q == 0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    return q, c / q
-
-
-def _cubic_roots(b: float, c: float, d: float) -> list[complex]:
-    # x^3 + b x^2 + c x + d, all three roots
-    shift = b / 3.0
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    if p == 0.0 and q == 0.0:
-        return [-shift] * 3
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        u = math.copysign(abs(-q / 2.0 + sq) ** (1.0 / 3.0), -q / 2.0 + sq)
-        v = math.copysign(abs(-q / 2.0 - sq) ** (1.0 / 3.0), -q / 2.0 - sq)
-        t0 = u + v
-        re = -t0 / 2.0
-        im = math.sqrt(3.0) * (u - v) / 2.0
-        roots = [complex(t0, 0.0), complex(re, im), complex(re, -im)]
-    else:
-        # three real roots (trigonometric branch); p < 0 here
-        mag = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * mag)
-        phi = math.acos(min(1.0, max(-1.0, arg)))
-        roots = [
-            complex(mag * math.cos((phi - 2.0 * math.pi * k) / 3.0), 0.0)
-            for k in range(3)
-        ]
-    return [z - shift for z in roots]
-
-
-def _quartic_roots(b: float, c: float, d: float, e: float) -> list[complex]:
-    # x^4 + b x^3 + c x^2 + d x + e via the resolvent cubic
-    qb = 0.25 * b
-    qb2 = qb * qb
-    p = 3.0 * qb2 - 0.5 * c
-    q = b * qb2 - c * qb + 0.5 * d
-    r = 3.0 * qb2 * qb2 - c * qb2 + d * qb - e
-    scale = max(1.0, abs(b), abs(c), abs(d), abs(e))
-    if abs(q) <= _LEADING_TOL * scale:
-        # biquadratic in (x + qb)^2
-        z1, z2 = _quadratic_roots(complex(-2.0 * p), complex(-r))
-        out = []
-        for z in (z1, z2):
-            w = cmath.sqrt(z)
-            out.extend([w - qb, -w - qb])
-        return out
-    cubs = _cubic_roots(p, r, p * r - 0.5 * q * q)
-    # the resolvent needs one real root; take the most-real, largest one
-    z0 = max(
-        (z for z in cubs if abs(z.imag) <= 1e-8 * max(1.0, abs(z))),
-        key=lambda z: z.real,
-        default=cubs[0],
-    ).real
-    s = cmath.sqrt(complex(2.0 * p + 2.0 * z0))
-    if s == 0:
-        t = complex(z0 * z0 + r)
-    else:
-        t = -q / s
-    r1, r2 = _quadratic_roots(s, z0 + t)
-    r3, r4 = _quadratic_roots(-s, z0 - t)
-    return [r1 - qb, r2 - qb, r3 - qb, r4 - qb]
-
-
-def _all_roots(coeffs: list[float]) -> list[complex]:
-    """All complex roots of a real polynomial of degree <= 4.
-
-    Leading coefficients that are negligible relative to the largest one are
-    dropped, which discards the far-away roots they would imply.
-    """
-    scale = max(abs(c) for c in coeffs)
-    if scale == 0.0:
-        raise DegenerateInputError("all polynomial coefficients are zero")
-    cs = list(coeffs)
-    while len(cs) > 1 and abs(cs[0]) <= _LEADING_TOL * scale:
-        cs = cs[1:]
-    lead = cs[0]
-    cs = [c / lead for c in cs]
-    deg = len(cs) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [complex(-cs[1])]
-    if deg == 2:
-        return list(_quadratic_roots(complex(cs[1]), complex(cs[2])))
-    if deg == 3:
-        return _cubic_roots(cs[1], cs[2], cs[3])
-    return _quartic_roots(cs[1], cs[2], cs[3], cs[4])
-
-
-def _polish(coeffs: list[float], x: float) -> float:
-    """Refine a real root against the exact coefficients.
-
-    Uses the multiplicity-agnostic step x - f f' / (f'^2 - f f''), which
-    converges quadratically for simple and multiple roots alike; plain
-    Newton would stall at ~sqrt(eps) accuracy on double roots. Near a
-    multiple root |f| bottoms out at evaluation noise, so when f' is also
-    tiny the root is re-polished as the (simple) zero of f'.
-    """
-    d1 = _poly_deriv(coeffs)
-    d2 = _poly_deriv(d1)
-    best = x
-    best_res = abs(_poly_eval(coeffs, x))
-    for _ in range(16):
-        f = _poly_eval(coeffs, x)
-        f1 = _poly_eval(d1, x)
-        f2 = _poly_eval(d2, x)
-        denom = f1 * f1 - f * f2
-        if denom != 0.0 and math.isfinite(denom):
-            step = f * f1 / denom
-        elif f1 != 0.0:
-            step = f / f1
+def _bracketed_root(coeffs, deriv, lo: float, hi: float, f_lo: float) -> float:
+    """The root of a polynomial monotone on [lo, hi] whose sign there changes
+    from that of ``f_lo``: Newton steps safeguarded by bisection (rtsafe,
+    Numerical Recipes 9.4), run until p(x) is lost in rounding error or the
+    bracket holds no float between its ends."""
+    x = 0.5 * (lo + hi)
+    last_step = hi - lo
+    while lo < x < hi:
+        fx = _resolved(coeffs, x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo = x
         else:
-            break
-        if not math.isfinite(step):
-            break
-        x = x - step
-        res = abs(_poly_eval(coeffs, x))
-        if res < best_res:
-            best, best_res = x, res
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    scale = sum(abs(c) for c in coeffs)
-    d1scale = sum(abs(c) for c in d1)
-    if d1scale > 0.0 and abs(_poly_eval(d1, best)) <= 1e-7 * d1scale:
-        y = best
-        for _ in range(8):
-            g1 = _poly_eval(d2, y)
-            if g1 == 0.0:
-                break
-            step = _poly_eval(d1, y) / g1
-            if not math.isfinite(step):
-                break
-            y = y - step
-            if abs(step) <= 1e-16 * max(1.0, abs(y)):
-                break
-        if abs(_poly_eval(coeffs, y)) <= 1e-11 * scale:
-            best = y
-    return best
+            hi = x
+        slope = _horner(deriv, x)[0]
+        newton = x - fx / slope if slope != 0.0 else x
+        if lo < newton < hi and abs(newton - x) < 0.5 * last_step:
+            last_step = abs(newton - x)
+            x = newton
+        else:
+            last_step = hi - lo
+            x = 0.5 * (lo + hi)
+    return x
 
 
-def real_roots_in_open_unit(poly: QuarticPoly, tol: float = 1e-10) -> list[float]:
-    """Sorted real roots of ``poly`` strictly inside (0, 1).
+def _unit_roots(coeffs) -> list[float]:
+    """Sorted roots in (0, 1) of the polynomial with ``coeffs`` (highest
+    degree first).
 
-    Near-real closed-form roots are projected to the real axis, polished
-    against the exact coefficients and deduplicated within ``tol`` (a double
-    root is reported once). "Strictly inside" is resolved at the same
-    tolerance: roots within ``tol`` of 0 or 1 are treated as boundary roots
-    and excluded.
+    The roots of p' split [0, 1] into pieces on which p is monotone, so each
+    piece whose ends differ in sign brackets exactly one root. A knot where
+    p is indistinguishable from zero is a root itself (a double root, where
+    p touches zero, has no sign change to bracket).
     """
-    coeffs = poly.coefficients()
-    scale = sum(abs(c) for c in coeffs)
-    candidates = []
-    for z in _all_roots(coeffs):
-        if abs(z.imag) > max(_IMAG_TOL, tol):
-            continue
-        x = _polish(coeffs, z.real)
-        if tol < x < 1.0 - tol and abs(_poly_eval(coeffs, x)) <= _RESIDUAL_TOL * scale:
-            candidates.append(x)
-    candidates.sort()
-    roots: list[float] = []
-    for x in candidates:
-        if roots and abs(x - roots[-1]) <= tol:
-            # keep the representative with the smaller residual
-            if abs(_poly_eval(coeffs, x)) < abs(_poly_eval(coeffs, roots[-1])):
-                roots[-1] = x
-            continue
-        roots.append(x)
+    degree = len(coeffs) - 1
+    if degree < 1:
+        return []
+    deriv = [c * (degree - i) for i, c in enumerate(coeffs[:-1])]
+    roots = []
+    x0, f0 = 0.0, _resolved(coeffs, 0.0)
+    for x1 in _unit_roots(deriv) + [1.0]:
+        f1 = _resolved(coeffs, x1)
+        if f0 < 0.0 < f1 or f1 < 0.0 < f0:
+            roots.append(_bracketed_root(coeffs, deriv, x0, x1, f0))
+        elif f1 == 0.0 and x1 < 1.0:
+            roots.append(x1)
+        x0, f0 = x1, f1
     return roots
+
+
+def real_roots_in_open_unit(poly: QuarticPoly) -> list[float]:
+    """Sorted real roots of ``poly`` strictly inside (0, 1), a double root
+    once. Only signs of the polynomial and its derivatives are compared, so
+    the result does not depend on the scale of the coefficients."""
+    coeffs = poly.coefficients()
+    if not any(coeffs):
+        raise DegenerateInputError("all polynomial coefficients are zero")
+    # a bracket against 0 or 1 with no float inside it ends on that bound
+    return [x for x in _unit_roots(coeffs) if 0.0 < x < 1.0]
 
 
 # ---------------------------------------------------------------------------

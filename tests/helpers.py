@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the production code paths it
 checks: the KKT oracles solve the Newton system densely (one in float64, one
-in extended precision with ``mpmath``), the feasibility
-grid enumerates (sigma, alpha) pairs by brute force, and random iterates are
-built from explicit null-space / row-space perturbations.
+in extended precision with ``mpmath``), polynomial roots come from
+``mpmath.polyroots`` at 50 digits, the feasibility grid enumerates
+(sigma, alpha) pairs by brute force, and random iterates are built from
+explicit null-space / row-space perturbations.
 """
 
 from __future__ import annotations
@@ -63,6 +64,35 @@ def mp_kkt_direction(a, x, s, sigma, dps=40):
         ds = [-mpmath.fsum(amp[i][k] * dy[i] for i in range(m)) for k in range(n)]
         dx = [(r[k] - xmp[k] * ds[k]) / smp[k] for k in range(n)]
     return tuple(np.array([float(v) for v in vec]) for vec in (dx, list(dy), ds))
+
+
+def horner_with_bound(coeffs, x):
+    """p(x) in float64 by Horner's rule and the running bound on its rounding
+    error (Higham, Accuracy and Stability of Numerical Algorithms, Alg. 5.1)."""
+    y = coeffs[0]
+    mu = abs(y) / 2.0
+    for c in coeffs[1:]:
+        y = y * x + c
+        mu = mu * abs(x) + abs(y)
+    return y, 2.0**-53 * (2.0 * mu - abs(y))
+
+
+def float64_sign(coeffs, x):
+    """The sign of p(x) in float64, or 0 where rounding error could flip it."""
+    y, bound = horner_with_bound(coeffs, x)
+    return 0 if abs(y) <= bound else (1 if y > 0 else -1)
+
+
+def mp_polyroots(coeffs, dps=50):
+    """All complex roots of the polynomial with the exact binary coefficients
+    ``coeffs`` (highest degree first), at ``dps`` digits. A real root comes
+    back as an ``mpf``."""
+    while coeffs and coeffs[0] == 0.0:
+        coeffs = coeffs[1:]
+    if len(coeffs) < 2:
+        return []
+    with mpmath.workdps(dps):
+        return mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=400, extraprec=400)
 
 
 def random_interior_iterate(lp, start, rng, spread=0.5, theta=0.99):

@@ -17,6 +17,8 @@ from optlp.solver import (
 )
 from optlp.stepsel import CandidatePair
 
+from helpers import synthetic_family
+
 
 def test_generate_synthetic_contract():
     lp, start = generate_synthetic(12, 5, seed=123)
@@ -100,6 +102,39 @@ def test_one_iteration_exact_case():
     assert rec.sigma == 0.0 and rec.alpha == 1.0
     assert report.final.mu <= 1e-15
     assert report.objective == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("index", [9, 17, 27, 39, 54, 57])
+def test_tight_tolerance_ends_optimal(index):
+    # at tol 1e-14 these once ended in an exact step whose roundoff-negative
+    # components (down to -4.7e-25) raised instead of being set to zero
+    lp, start = synthetic_family(60, n_max=128)[index]
+    report = solve(lp, start, SolverConfig(tol=1e-14))
+    assert report.status == STATUS_OPTIMAL
+    assert np.min(report.final.x) >= 0.0 and np.min(report.final.s) >= 0.0
+
+
+def test_exact_step_far_from_the_optimum_is_safeguarded(monkeypatch):
+    # an a0_zero pair whose pure Newton step leaves the positive orthant by
+    # far more than roundoff is applied like any other candidate
+    import optlp.solver as solver_mod
+    from optlp.stepsel import select_step
+
+    calls = []
+
+    def exact_first(sp, a0_zero_rel_tol):
+        calls.append(sp)
+        if len(calls) == 1:
+            return CandidatePair(sigma=0.0, alpha=1.0, predicted_mu=0.0, origin="a0_zero")
+        return select_step(sp, a0_zero_rel_tol)
+
+    monkeypatch.setattr(solver_mod, "select_step", exact_first)
+    lp, start = generate_synthetic(20, 9, seed=11)
+    report = solve(lp, start)
+    assert report.status == STATUS_OPTIMAL
+    first = report.iterations[0]
+    assert first.origin == "a0_zero" and first.alpha < 1.0
+    assert first.mu == pytest.approx(start.mu * (1.0 - first.alpha), rel=1e-10)
 
 
 def test_safeguarded_step_full_alpha_on_clean_pair():

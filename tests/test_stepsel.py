@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from optlp.direction import StepPolynomials, build_factors, decompose, step_polynomials
 from optlp.errors import DegenerateInputError, InvalidInputError, NoFeasibleStepError
@@ -18,7 +19,12 @@ from optlp.stepsel import (
     select_step,
 )
 
-from helpers import random_interior_iterate, step_grid_best
+from helpers import (
+    float64_sign,
+    mp_polyroots,
+    random_interior_iterate,
+    step_grid_best,
+)
 
 
 def make_sp(a0, a1, a2, a3, a4, theta=1.0, mu=1.0, n=4):
@@ -169,6 +175,54 @@ def test_roots_random_reconstruction():
         assert roots[1] == pytest.approx(inside[1], abs=1e-10)
 
 
+@pytest.mark.parametrize("coeffs, root", [
+    # f(sigma, 1) from a solve of synthetic_family(60, n_max=128): a root of
+    # coefficients between 1e-16 and 1e-30 that the closed form missed
+    ([1.8757934879358936e-30, -7.263283417991107e-30, -1.6155104489135038e-16,
+      -5.232775580103332e-30, 9.773499198527757e-31], 7.778038074643606e-08),
+    # one for which it returned 2.299e-07, not a root
+    ([7.438420461243829e-24, -2.8908752678783237e-23, -4.502997015003186e-14,
+      -1.91093854715203e-23, 3.351067191324626e-24], 8.626409217113688e-06),
+])
+def test_roots_tiny_coefficients(coeffs, root):
+    assert real_roots_in_open_unit(QuarticPoly(*coeffs)) == [pytest.approx(root, rel=1e-12)]
+
+
+# zero, or of a magnitude in [1e-30, 1]: wider ranges put roots beyond the
+# reach of the mpmath oracle
+_unit_coefficient = st.floats(-1.0, 1.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-30)
+_scaled_coefficient = st.just(0.0) | st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-30.0, 0.0),
+)
+
+
+@given(st.lists(_unit_coefficient, min_size=5, max_size=5)
+       | st.lists(_scaled_coefficient, min_size=5, max_size=5))
+def test_roots_match_extended_precision(coeffs):
+    """Against mpmath.polyroots at 50 digits: every root in (0, 1) across
+    which float64 sees a sign change is found to relative 1e-9, and every
+    root reported matches one of mpmath's. A root r is exempt only where
+    float64 cannot tell p from zero at r (1 +- 1e-6), clipped to [0, 1]."""
+    assume(any(coeffs))
+    found = real_roots_in_open_unit(QuarticPoly(*coeffs))
+    roots = mp_polyroots(coeffs)
+
+    def signs_around(r):
+        return (float64_sign(coeffs, r * (1 - 1e-6)),
+                float64_sign(coeffs, min(r * (1 + 1e-6), 1.0)))
+
+    for z in roots:
+        r = float(z.real)
+        if z.imag == 0 and 0.0 < r < 1.0 and signs_around(r) in ((-1, 1), (1, -1)):
+            assert any(abs(x - r) <= 1e-9 * r for x in found), (r, found)
+    for x in found:
+        assert 0.0 < x < 1.0
+        if 0 not in signs_around(x):
+            assert any(abs(complex(z) - x) <= 1e-9 * x for z in roots), (x, roots)
+
+
 # ---------------------------------------------------------------------------
 # select_step
 
@@ -254,7 +308,7 @@ def test_grid_fallback_when_root_finding_fails(monkeypatch):
     # simulate that failure mode directly
     import optlp.stepsel as stepsel_mod
 
-    monkeypatch.setattr(stepsel_mod, "real_roots_in_open_unit", lambda poly, tol=1e-10: [])
+    monkeypatch.setattr(stepsel_mod, "real_roots_in_open_unit", lambda poly: [])
     sp = make_sp(1.0, 0.0, 2.0, 0.0, 1.0, theta=0.9, mu=1.0, n=4)
     pair = select_step(sp)
     assert pair.origin == "grid_fallback"
@@ -267,7 +321,7 @@ def test_grid_fallback_when_root_finding_fails(monkeypatch):
 def test_select_step_no_feasible_raises(monkeypatch):
     import optlp.stepsel as stepsel_mod
 
-    monkeypatch.setattr(stepsel_mod, "real_roots_in_open_unit", lambda poly, tol=1e-10: [])
+    monkeypatch.setattr(stepsel_mod, "real_roots_in_open_unit", lambda poly: [])
     # h astronomically large against theta*mu: every grid point infeasible
     sp = make_sp(1e30, 0.0, 0.0, 0.0, 0.0, theta=1e-6, mu=1e-6, n=4)
     with pytest.raises(NoFeasibleStepError):
