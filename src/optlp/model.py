@@ -98,22 +98,15 @@ class Iterate:
         self.x = x
         self.y = y
         self.s = s
-        self.mu = duality_gap(x, s)
+        self.mu = float(x @ s) / x.shape[0]
 
     @classmethod
-    def terminal(cls, x, y, s) -> "Iterate":
-        """Build a point that is allowed to touch the boundary (x, s >= 0).
-
-        Only the solver's exact-termination path uses this; everything else
-        must construct iterates through ``__init__``.
-        """
+    def unchecked(cls, x: np.ndarray, y: np.ndarray, s: np.ndarray, mu: float) -> "Iterate":
+        """A point the solver made and vetted (finite, x and s > 0, or >= 0
+        on the exact step's boundary point), with its gap mu; nothing is
+        coerced or checked again. Points from outside use ``__init__``."""
         it = cls.__new__(cls)
-        it.x = _as_vector(x, "x")
-        it.y = _as_vector(y, "y")
-        it.s = _as_vector(s, "s")
-        if np.min(it.x) < 0.0 or np.min(it.s) < 0.0:
-            raise InvalidInputError("terminal point must be nonnegative")
-        it.mu = float(it.x @ it.s) / it.x.shape[0]
+        it.x, it.y, it.s, it.mu = x, y, s, mu
         return it
 
     def __repr__(self) -> str:
@@ -131,8 +124,6 @@ class SolverConfig:
     theta: float = 0.99
     tol: float = 1e-8
     max_iter: int = 200
-    safeguard_backtracks: int = 30
-    a0_zero_rel_tol: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -141,10 +132,6 @@ class SolverConfig:
             raise InvalidInputError("tol must be positive")
         if self.max_iter <= 0:
             raise InvalidInputError("max_iter must be positive")
-        if self.safeguard_backtracks <= 0:
-            raise InvalidInputError("safeguard_backtracks must be positive")
-        if self.a0_zero_rel_tol <= 0.0:
-            raise InvalidInputError("a0_zero_rel_tol must be positive")
 
 
 def duality_gap(x, s) -> float:

@@ -32,6 +32,9 @@ from .direction import StepPolynomials
 
 _FALLBACK_GRID = 64
 
+# ||p|| / (mu sqrt(n)) at or below this selects the exact Newton step
+A0_ZERO_REL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class QuarticPoly:
@@ -54,7 +57,7 @@ class CandidatePair:
     sigma: float
     alpha: float
     predicted_mu: float
-    origin: str  # a0_zero | f_root_alpha1 | g_root | grid_fallback
+    origin: str  # a0_zero | f_root_alpha1 | g_root | grid_fallback | shortstep
 
 
 def eval_f(sp: StepPolynomials, sigma: float, alpha: float) -> float:
@@ -194,7 +197,7 @@ def _pair(sp: StepPolynomials, sigma: float, alpha: float, origin: str) -> Candi
     return CandidatePair(sigma=sigma, alpha=alpha, predicted_mu=predicted, origin=origin)
 
 
-def select_step(sp: StepPolynomials, a0_zero_rel_tol: float = 1e-12) -> CandidatePair:
+def select_step(sp: StepPolynomials) -> CandidatePair:
     """Choose the (sigma, alpha) pair minimizing the predicted duality gap.
 
     Candidate sources, in the order they are gathered:
@@ -211,7 +214,7 @@ def select_step(sp: StepPolynomials, a0_zero_rel_tol: float = 1e-12) -> Candidat
     Ties are broken toward larger alpha, then smaller sigma.
     """
     n = sp.p.shape[0]
-    if math.sqrt(max(sp.a0, 0.0)) <= a0_zero_rel_tol * sp.mu * math.sqrt(n):
+    if math.sqrt(max(sp.a0, 0.0)) <= A0_ZERO_REL_TOL * sp.mu * math.sqrt(n):
         return CandidatePair(sigma=0.0, alpha=1.0, predicted_mu=0.0, origin="a0_zero")
 
     candidates: list[CandidatePair] = []

@@ -97,13 +97,6 @@ def test_iterate_validation_and_cached_mu():
             Iterate(x, np.zeros(3), bad_s)
 
 
-def test_iterate_terminal_allows_boundary():
-    it = Iterate.terminal([1.0, 0.0], [0.0], [0.0, 2.0])
-    assert it.mu == 0.0
-    with pytest.raises(InvalidInputError):
-        Iterate.terminal([-1e-12, 1.0], [0.0], [1.0, 1.0])
-
-
 def test_residuals_feasible_point_and_perturbations():
     lp, start = generate_synthetic(12, 5, seed=9)
     pr, dr = residuals(lp, start)
@@ -155,7 +148,6 @@ def test_stopping_criterion_formula():
 def test_solver_config_validation():
     cfg = SolverConfig()
     assert cfg.theta == 0.99 and cfg.tol == 1e-8 and cfg.max_iter == 200
-    assert cfg.safeguard_backtracks == 30 and cfg.a0_zero_rel_tol == 1e-12
     with pytest.raises(InvalidInputError):
         SolverConfig(theta=1.0)
     with pytest.raises(InvalidInputError):

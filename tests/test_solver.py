@@ -1,14 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from optlp.direction import assemble_direction, build_factors, decompose
 from optlp.errors import InvalidInputError, NoFeasibleStepError
 from optlp.model import Iterate, SolverConfig, StandardLp, neighborhood_distance, residuals
 from optlp.solver import (
+    STATUS_BREAKDOWN,
+    STATUS_MAX_ITER,
     STATUS_NO_START,
     STATUS_OPTIMAL,
+    SolveReport,
     generate_synthetic,
     heuristic_start,
     safeguarded_step,
@@ -122,11 +127,11 @@ def test_exact_step_far_from_the_optimum_is_safeguarded(monkeypatch):
 
     calls = []
 
-    def exact_first(sp, a0_zero_rel_tol):
+    def exact_first(sp):
         calls.append(sp)
         if len(calls) == 1:
             return CandidatePair(sigma=0.0, alpha=1.0, predicted_mu=0.0, origin="a0_zero")
-        return select_step(sp, a0_zero_rel_tol)
+        return select_step(sp)
 
     monkeypatch.setattr(solver_mod, "select_step", exact_first)
     lp, start = generate_synthetic(20, 9, seed=11)
@@ -193,6 +198,18 @@ def test_shortstep_factor_and_closed_form():
         assert rec.neighborhood_dist <= 0.4 * rec.mu * (1.0 + 1e-8)
 
 
+@pytest.mark.parametrize("index", [9, 47])
+def test_shortstep_stays_in_a_small_neighborhood(index):
+    # the full short step leaves a theta = 0.02 neighborhood on these
+    # problems; the safeguard shortens it instead
+    lp, start = synthetic_family(60, n_max=128)[index]
+    cfg = SolverConfig(theta=0.02)
+    report = solve_shortstep_baseline(lp, start, cfg)
+    assert report.status == STATUS_OPTIMAL
+    for rec in report.iterations:
+        assert rec.neighborhood_dist <= cfg.theta * rec.mu * (1.0 + 1e-8)
+
+
 def test_optimal_beats_baseline_iterations():
     for seed in (1, 2, 3):
         lp, start = generate_synthetic(25, 10, seed=seed)
@@ -209,7 +226,7 @@ def test_solve_reports_numerical_breakdown(monkeypatch):
 
     lp, start = generate_synthetic(10, 4, seed=6)
 
-    def explode(sp, tol):
+    def explode(sp):
         raise NFS("synthetic failure")
 
     monkeypatch.setattr(solver_mod, "select_step", explode)
@@ -217,6 +234,56 @@ def test_solve_reports_numerical_breakdown(monkeypatch):
     assert report.status == "numerical_breakdown"
     assert report.iterations == []
     assert report.final is start
+
+
+def test_non_finite_dual_update_is_a_breakdown(monkeypatch):
+    import optlp.solver as solver_mod
+
+    def nan_in_dy(dec, sigma):
+        dx, dy, ds = assemble_direction(dec, sigma)
+        dy = dy.copy()
+        dy[0] = np.nan
+        return dx, dy, ds
+
+    lp, start = generate_synthetic(10, 4, seed=6)
+    dx, dy, ds = nan_in_dy(decompose(build_factors(lp, start), start), 0.5)
+    pair = CandidatePair(sigma=0.5, alpha=0.1, predicted_mu=0.95, origin="g_root")
+    with pytest.raises(NoFeasibleStepError):
+        safeguarded_step(start, (dx, dy, ds), pair, SolverConfig())
+
+    monkeypatch.setattr(solver_mod, "assemble_direction", nan_in_dy)
+    runs = [(lp, start, solve), (lp, start, solve_shortstep_baseline)]
+    # the exact Newton step of test_one_iteration_exact_case turns the point
+    # down and hands it to the safeguard
+    exact_lp = StandardLp(np.array([[1.0, 1.0]]), np.array([2.0]), np.array([2.0, 2.0]))
+    runs.append((exact_lp, Iterate([1.0, 1.0], [1.0], [1.0, 1.0]), solve))
+    for problem, point, runner in runs:
+        report = runner(problem, point)
+        assert report.status == STATUS_BREAKDOWN
+        assert report.iterations == [] and report.final is point
+
+
+@functools.lru_cache(maxsize=1)
+def _small_family():
+    return synthetic_family(20, n_max=24)
+
+
+@given(
+    index=st.integers(0, 19),
+    tol=st.floats(-16.0, -2.0).map(lambda e: 10.0**e),
+    theta=st.floats(0.01, 0.999),
+    shortstep=st.booleans(),
+)
+def test_any_tolerance_and_theta_end_in_a_status(index, tol, theta, shortstep):
+    lp, start = _small_family()[index]
+    runner = solve_shortstep_baseline if shortstep else solve
+    report = runner(lp, start, SolverConfig(theta=theta, tol=tol))
+    assert isinstance(report, SolveReport)
+    assert report.status in (STATUS_OPTIMAL, STATUS_MAX_ITER, STATUS_BREAKDOWN, STATUS_NO_START)
+    for rec in report.iterations:
+        if rec.origin == "a0_zero" and rec is report.iterations[-1]:
+            continue  # the exact step lands on the boundary, off the path
+        assert rec.neighborhood_dist <= theta * rec.mu * (1.0 + 1e-8)
 
 
 def test_heuristic_start_on_synthetic_is_exact():
