@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mps
-from .errors import InvalidInputError, MpsParseError, OptLpError
+from .errors import InvalidInputError, OptLpError
 from .model import Iterate, SolverConfig, StandardLp
 from .solver import (
     STATUS_BREAKDOWN,
@@ -85,8 +85,9 @@ def write_start_file(path, it: Iterate) -> None:
 
 
 def read_start_file(path, n: int, m: int) -> Iterate:
-    """Read a sidecar start; token count must be exactly 2n + m."""
-    tokens = Path(path).read_text().split()
+    """Read a sidecar start; token count must be exactly 2n + m. Read as
+    bytes, a file that is not text fails as a bad count or a bad number."""
+    tokens = Path(path).read_bytes().split()
     if len(tokens) != 2 * n + m:
         raise InvalidInputError(
             f"start file {path} holds {len(tokens)} numbers, expected {2 * n + m}"
@@ -131,11 +132,11 @@ def _print_text_report(report: SolveReport, problem: str, out) -> None:
             )
 
 
-def _load_problem(path) -> tuple[StandardLp, dict]:
-    lp, colmap = mps.to_standard_form(mps.parse_mps(Path(path).read_text()))
+def _load_problem(path) -> StandardLp:
+    lp, _ = mps.to_standard_form(mps.parse_mps(Path(path).read_bytes()))
     if not lp.name:
         lp.name = Path(path).stem
-    return lp, colmap
+    return lp
 
 
 def _find_start(lp: StandardLp, theta: float, start_file=None) -> Iterate | None:
@@ -145,15 +146,15 @@ def _find_start(lp: StandardLp, theta: float, start_file=None) -> Iterate | None
 
 
 def cmd_solve(args) -> int:
-    try:
-        lp, _ = _load_problem(args.path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     theta = args.theta if args.theta is not None else (
         0.4 if args.algorithm == "shortstep" else 0.99
     )
-    cfg = SolverConfig(theta=theta, tol=args.tol, max_iter=args.max_iter)
+    try:
+        cfg = SolverConfig(theta=theta, tol=args.tol, max_iter=args.max_iter)
+        lp = _load_problem(args.path)
+    except (OptLpError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         start = _find_start(lp, cfg.theta, args.start_file)
     except (InvalidInputError, OSError) as exc:
@@ -188,31 +189,29 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(path: Path, tol: float, max_iter: int):
-    """Returns (problem, iters_optimal, iters_baseline, start_found);
+def _bench_one(path: Path, runs):
+    """Solves one file with each (config, runner) of ``runs``, optimal then
+    baseline. Returns (problem, iters_optimal, iters_baseline, start_found);
     iteration fields hold strings for failures."""
     name = path.stem
     try:
-        lp, _ = _load_problem(path)
-    except (MpsParseError, OSError) as exc:
+        lp = _load_problem(path)
+    except (OptLpError, OSError) as exc:
         log.warning("%s: %s", path, exc)
         return name, "failed", "failed", False
     sidecar = path.with_suffix(".start")
     results = []
     start_found = False
-    for theta, runner in ((0.99, solve), (0.4, solve_shortstep_baseline)):
+    for cfg, runner in runs:
         start = None
         try:
-            if sidecar.exists():
-                start = read_start_file(sidecar, lp.n, lp.m)
-            else:
-                start = heuristic_start(lp, theta)
+            start = _find_start(lp, cfg.theta, sidecar if sidecar.exists() else None)
         except (OptLpError, OSError) as exc:
             log.warning("%s: start file rejected: %s", path, exc)
         if start is None:
             results.append("start-failed")
             continue
-        report = runner(lp, start, SolverConfig(theta=theta, tol=tol, max_iter=max_iter))
+        report = runner(lp, start, cfg)
         if report.status == STATUS_NO_START:
             results.append("start-failed")
             continue
@@ -225,6 +224,12 @@ def _bench_one(path: Path, tol: float, max_iter: int):
 
 
 def cmd_bench(args) -> int:
+    try:
+        runs = [(SolverConfig(theta=theta, tol=args.tol, max_iter=args.max_iter), runner)
+                for theta, runner in ((0.99, solve), (0.4, solve_shortstep_baseline))]
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     directory = Path(args.dir)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -235,9 +240,9 @@ def cmd_bench(args) -> int:
     )
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda p: _bench_one(p, args.tol, args.max_iter), paths))
+            rows = list(pool.map(lambda p: _bench_one(p, runs), paths))
     else:
-        rows = [_bench_one(p, args.tol, args.max_iter) for p in paths]
+        rows = [_bench_one(p, runs) for p in paths]
     rows.sort(key=lambda r: r[0].lower())
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -304,9 +309,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MpsParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except OptLpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN

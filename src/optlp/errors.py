@@ -21,8 +21,8 @@ class IllConditionedError(OptLpError):
 
 
 class NoFeasibleStepError(OptLpError):
-    """Step selection or the step safeguard could not produce an acceptable
-    step; signals numerical breakdown of the current solve."""
+    """The step safeguard could not produce an acceptable step; signals
+    numerical breakdown of the current solve."""
 
 
 class DegenerateInputError(OptLpError, ValueError):

@@ -1,5 +1,6 @@
-"""Problem and iterate representations, feasibility residuals, duality gap
-and the central-path neighborhood test."""
+"""Problem and iterate representations (an iterate caches its duality gap
+mu), feasibility residuals, the central-path neighborhood test and the
+stopping criterion."""
 
 from __future__ import annotations
 
@@ -128,21 +129,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise InvalidInputError(f"theta must be in (0,1), got {self.theta}")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise InvalidInputError("tol must be positive")
         if self.max_iter <= 0:
             raise InvalidInputError("max_iter must be positive")
-
-
-def duality_gap(x, s) -> float:
-    """x.s / n, the average complementarity product."""
-    x = _as_vector(x, "x")
-    s = _as_vector(s, "s")
-    if x.shape[0] != s.shape[0]:
-        raise InvalidInputError("x and s must have equal length")
-    if x.shape[0] == 0:
-        raise InvalidInputError("empty vectors")
-    return float(x @ s) / x.shape[0]
 
 
 def neighborhood_distance(x, s) -> float:

@@ -48,9 +48,12 @@ class MpsProblem:
 
 def _parse_number(token: str, lineno: int) -> float:
     try:
-        return float(token.replace("D", "E").replace("d", "e"))
+        value = float(token.replace("D", "E").replace("d", "e"))
     except ValueError:
         raise MpsParseError(f"bad numeric field {token!r}", line=lineno) from None
+    if not np.isfinite(value):
+        raise MpsParseError(f"non-finite numeric field {token!r}", line=lineno)
+    return value
 
 
 def parse_mps(text) -> MpsProblem:

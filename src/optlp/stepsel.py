@@ -8,16 +8,16 @@ quartic inequality
                       - a1 s + a0 <= 0        (s = sigma).
 
 The minimizers are found among: the smallest root of f(sigma, 1) in (0,1)
-paired with alpha = 1, and the roots of the stationarity quartic
+paired with alpha = 1, the roots of the stationarity quartic
 
     g(sigma) = (2 a4 - a3) s^4 + (2 a2 - a3) s^3 - 3 a1 s^2
                + (4 a0 + a1) s - 2 a0
 
 each paired with alpha = theta mu sigma / sqrt(h(sigma)), where
-h(sigma) = a4 s^4 - a3 s^3 + a2 s^2 - a1 s + a0. Only roots in (0, 1)
-matter: the roots of each quartic's derivatives cut [0, 1] into pieces on
-which it is monotone, and each sign change is refined by safeguarded
-Newton-bisection.
+h(sigma) = a4 s^4 - a3 s^3 + a2 s^2 - a1 s + a0, and the endpoint sigma = 1.
+Only roots in (0, 1) matter: the roots of each quartic's derivatives cut
+[0, 1] into pieces on which it is monotone, and each sign change is refined
+by safeguarded Newton-bisection.
 """
 
 from __future__ import annotations
@@ -25,12 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegenerateInputError, InvalidInputError, NoFeasibleStepError
+from .errors import DegenerateInputError, InvalidInputError
 from .direction import StepPolynomials
-
-_FALLBACK_GRID = 64
 
 # ||p|| / (mu sqrt(n)) at or below this selects the exact Newton step
 A0_ZERO_REL_TOL = 1e-12
@@ -57,7 +53,7 @@ class CandidatePair:
     sigma: float
     alpha: float
     predicted_mu: float
-    origin: str  # a0_zero | f_root_alpha1 | g_root | grid_fallback | shortstep
+    origin: str  # a0_zero | f_root_alpha1 | g_root | sigma_one | shortstep
 
 
 def eval_f(sp: StepPolynomials, sigma: float, alpha: float) -> float:
@@ -73,15 +69,6 @@ def eval_h(sp: StepPolynomials, sigma: float) -> float:
     return (((sp.a4 * sigma - sp.a3) * sigma + sp.a2) * sigma - sp.a1) * sigma + sp.a0
 
 
-def eval_g(sp: StepPolynomials, sigma: float) -> float:
-    """Stationarity quartic whose roots yield interior candidate pairs."""
-    return (
-        ((((2.0 * sp.a4 - sp.a3) * sigma + (2.0 * sp.a2 - sp.a3)) * sigma - 3.0 * sp.a1) * sigma
-         + (4.0 * sp.a0 + sp.a1)) * sigma
-        - 2.0 * sp.a0
-    )
-
-
 def f_alpha1_poly(sp: StepPolynomials) -> QuarticPoly:
     """f(sigma, 1) as an explicit quartic in sigma."""
     return QuarticPoly(
@@ -94,6 +81,7 @@ def f_alpha1_poly(sp: StepPolynomials) -> QuarticPoly:
 
 
 def g_poly(sp: StepPolynomials) -> QuarticPoly:
+    """Stationarity quartic whose roots yield interior candidate pairs."""
     return QuarticPoly(
         c4=2.0 * sp.a4 - sp.a3,
         c3=2.0 * sp.a2 - sp.a3,
@@ -208,10 +196,14 @@ def select_step(sp: StepPolynomials) -> CandidatePair:
     3. Every root sigma of g in (0, 1) with alpha = theta mu sigma /
        sqrt(h(sigma)); pairs with alpha >= 1 are clamped to alpha = 1 and
        kept only if f(sigma, 1) <= 0.
-    4. If nothing survives numerically, a coarse feasibility grid over
-       (0,1)^2 refined by bisection on alpha.
+    4. The endpoint sigma = 1 with alpha = min(1, theta mu / sqrt(h(1))),
+       which predicts mu itself. It wins only when float64 finds no other
+       candidate: with a0 > 0, g(0) = -2 a0 < 0 <= 2 h(1) = g(1).
 
-    Ties are broken toward larger alpha, then smaller sigma.
+    The set is complete: for fixed sigma the best alpha is min(1, theta mu
+    sigma / sqrt(h(sigma))), with which the predicted gap rises with sigma
+    where alpha = 1 and is stationary elsewhere only at roots of g. Ties are
+    broken toward larger alpha, then smaller sigma.
     """
     n = sp.p.shape[0]
     if math.sqrt(max(sp.a0, 0.0)) <= A0_ZERO_REL_TOL * sp.mu * math.sqrt(n):
@@ -230,39 +222,7 @@ def select_step(sp: StepPolynomials) -> CandidatePair:
             candidates.append(_pair(sp, sigma, alpha, "g_root"))
         elif eval_f(sp, sigma, 1.0) <= 0.0:
             candidates.append(_pair(sp, sigma, 1.0, "g_root"))
-    if candidates:
-        return min(candidates, key=lambda cp: (cp.predicted_mu, -cp.alpha, cp.sigma))
-    return _grid_fallback(sp)
-
-
-def _grid_fallback(sp: StepPolynomials) -> CandidatePair:
-    k = _FALLBACK_GRID
-    sigmas = np.arange(1, k + 1) / (k + 1.0)
-    alphas = np.arange(1, k + 1) / (k + 1.0)
-    h = (((sp.a4 * sigmas - sp.a3) * sigmas + sp.a2) * sigmas - sp.a1) * sigmas + sp.a0
-    fgrid = h[:, None] - (sp.theta * sp.mu * sigmas[:, None] / alphas[None, :]) ** 2
-    feasible = fgrid <= 0.0
-    if not feasible.any():
-        raise NoFeasibleStepError("no feasible (sigma, alpha) found on the fallback grid")
-    predicted = sp.mu * (1.0 - alphas[None, :] * (1.0 - sigmas[:, None]))
-    predicted = np.where(feasible, predicted, np.inf)
-    order = np.lexsort(
-        (np.broadcast_to(sigmas[:, None], predicted.shape).ravel(),
-         -np.broadcast_to(alphas[None, :], predicted.shape).ravel(),
-         predicted.ravel())
-    )
-    i, j = np.unravel_index(order[0], predicted.shape)
-    sigma = float(sigmas[i])
-    lo = float(alphas[j])
-    # grow alpha as far as feasibility allows (f is increasing in alpha)
-    if eval_f(sp, sigma, 1.0) <= 0.0:
-        lo = 1.0
-    else:
-        hi = 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if eval_f(sp, sigma, mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-    return _pair(sp, sigma, lo, "grid_fallback")
+    h1 = eval_h(sp, 1.0)
+    alpha1 = 1.0 if h1 <= 0.0 else min(1.0, sp.theta * sp.mu / math.sqrt(h1))
+    candidates.append(_pair(sp, 1.0, alpha1, "sigma_one"))
+    return min(candidates, key=lambda cp: (cp.predicted_mu, -cp.alpha, cp.sigma))

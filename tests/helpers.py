@@ -3,9 +3,10 @@
 Everything here is deliberately independent of the production code paths it
 checks: the KKT oracles solve the Newton system densely (one in float64, one
 in extended precision with ``mpmath``), polynomial roots come from
-``mpmath.polyroots`` at 50 digits, the feasibility grid enumerates
-(sigma, alpha) pairs by brute force, and random iterates are built from
-explicit null-space / row-space perturbations.
+``mpmath.polyroots`` at 50 digits, the best step is found at 50 digits from
+its one-variable reduction, the feasibility grid enumerates (sigma, alpha)
+pairs by brute force, and random iterates are built from explicit
+null-space / row-space perturbations.
 """
 
 from __future__ import annotations
@@ -148,3 +149,43 @@ def step_grid_best(sp, grid=200):
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def mp_best_step(sp, dps=50):
+    """The least predicted gap ratio mu+/mu of any admissible (sigma, alpha),
+    at ``dps`` digits, as (phi, sigma).
+
+    For fixed sigma the largest admissible alpha is alpha*(sigma) =
+    min(1, theta mu sigma / sqrt(h(sigma))), so the problem is to minimize
+    phi(sigma) = 1 - alpha*(sigma)(1 - sigma) over sigma in (0, 1]. phi is
+    increasing where alpha* = 1 and stationary where alpha* < 1 only at
+    roots of g, so its minimizer is a root of f(., 1) or of g in (0, 1), or
+    sigma = 1. The coefficients are taken as exact binary values.
+    """
+    with mpmath.workdps(dps):
+        a0, a1, a2, a3, a4 = (mpmath.mpf(v) for v in (sp.a0, sp.a1, sp.a2, sp.a3, sp.a4))
+        tm = mpmath.mpf(sp.theta) * mpmath.mpf(sp.mu)
+
+        def phi(sigma):
+            h = (((a4 * sigma - a3) * sigma + a2) * sigma - a1) * sigma + a0
+            alpha = 1 if h <= 0 else min(mpmath.mpf(1), tm * sigma / mpmath.sqrt(h))
+            return 1 - alpha * (1 - sigma)
+
+        f1 = [a4, -a3, a2 - tm**2, -a1, a0]
+        g = [2 * a4 - a3, 2 * a2 - a3, -3 * a1, 4 * a0 + a1, -2 * a0]
+        candidates = [mpmath.mpf(1)] + [
+            z.real for coeffs in (f1, g) for z in mp_polyroots(coeffs, dps)
+            if z.imag == 0 and 0 < z.real < 1
+        ]
+        best = min(candidates, key=phi)
+        return phi(best), best
+
+
+def sampled_best_step(sp, count=100_000):
+    """min phi over ``count`` evenly spaced sigmas in (0, 1], in float64: the
+    brute-force check on :func:`mp_best_step`."""
+    sigma = np.arange(1, count + 1) / count
+    h = (((sp.a4 * sigma - sp.a3) * sigma + sp.a2) * sigma - sp.a1) * sigma + sp.a0
+    with np.errstate(divide="ignore"):
+        alpha = np.minimum(1.0, sp.theta * sp.mu * sigma / np.sqrt(np.maximum(h, 0.0)))
+    return float(np.min(1.0 - alpha * (1.0 - sigma)))

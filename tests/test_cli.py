@@ -18,6 +18,24 @@ from optlp.solver import generate_synthetic
 
 NETLIB = Path(__file__).parent / "data" / "netlib"
 
+# the head of an ELF executable: not UTF-8
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
+
+# valid MPS, but as many independent rows as columns: no standard form
+SQUARE_LP = """\
+NAME  SQUARE
+ROWS
+ N  COST
+ E  R1
+ E  R2
+COLUMNS
+    X1  COST  1.0  R1  1.0
+    X2  R2  1.0
+RHS
+    RHS  R1  1.0  R2  1.0
+ENDATA
+"""
+
 
 @pytest.fixture()
 def generated(tmp_path):
@@ -77,9 +95,12 @@ def test_solve_shortstep_flag(generated, capsys):
 
 def test_solve_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mps"
-    bad.write_text("NAME  BAD\nGARBAGE\nENDATA\n")
-    assert main(["solve", str(bad)]) == EXIT_PARSE
-    assert "line 2" in capsys.readouterr().err
+    for content, message in ((b"NAME  BAD\nGARBAGE\nENDATA\n", "line 2"),
+                             (NOT_UTF8, "not UTF-8"),
+                             (SQUARE_LP.encode(), "fewer independent rows")):
+        bad.write_bytes(content)
+        assert main(["solve", str(bad)]) == EXIT_PARSE
+        assert message in capsys.readouterr().err
 
 
 def test_solve_missing_file_exit_code(tmp_path, capsys):
@@ -104,6 +125,10 @@ ENDATA
     path = tmp_path / "nostart.mps"
     path.write_text(text)
     assert main(["solve", str(path)]) == EXIT_NO_START
+    binary = tmp_path / "binary.start"
+    binary.write_bytes(NOT_UTF8)
+    assert main(["solve", str(path), "--start-file", str(binary)]) == EXIT_NO_START
+    assert "start file" in capsys.readouterr().err
 
 
 def test_solve_max_iter_exit_code(generated, capsys):
@@ -165,6 +190,18 @@ def test_corrupt_start_file_is_a_clean_error(generated, tmp_path, capsys):
     assert captured.out.splitlines()[1].startswith("p,start-failed,start-failed")
 
 
+@pytest.mark.parametrize("setting", [
+    "--theta=1.5", "--theta=0", "--tol=0", "--tol=-1e-8", "--tol=nan", "--max-iter=0",
+])
+def test_out_of_range_settings_are_usage_errors(generated, setting, capsys):
+    out, sidecar = generated
+    assert main(["solve", str(out), "--start-file", str(sidecar), setting]) == EXIT_PARSE
+    if not setting.startswith("--theta"):  # bench has no --theta
+        assert main(["bench", str(out.parent), setting]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 def test_bench_empty_dir(tmp_path, capsys):
     code = main(["bench", str(tmp_path)])
     captured = capsys.readouterr()
@@ -202,16 +239,25 @@ def test_bench_default_max_iter_covers_shortstep_on_afiro(capsys):
 
 def test_bench_continues_past_unreadable_file(tmp_path, capsys):
     (tmp_path / "bad.mps").write_text("NAME  BAD\nJUNK\n")
+    (tmp_path / "binary.mps").write_bytes(NOT_UTF8)
     lp, start = generate_synthetic(8, 3, seed=4)
-    (tmp_path / "good.mps").write_text(format_mps(from_standard_lp(lp)))
+    good = format_mps(from_standard_lp(lp))
+    (tmp_path / "good.mps").write_text(good)
     write_start_file(tmp_path / "good.start", start)
+    head, columns = good.split("\nCOLUMNS\n")
+    value = columns.split()[2]  # the first coefficient
+    (tmp_path / "nan.mps").write_text(f"{head}\nCOLUMNS\n{columns.replace(value, 'nan', 1)}")
+    (tmp_path / "square.mps").write_text(SQUARE_LP)
     code = main(["bench", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == EXIT_OK
     lines = captured.out.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 6
     assert lines[1].startswith("bad,failed,failed")
-    assert lines[2].startswith("good,")
+    assert lines[2].startswith("binary,failed,failed")
+    assert lines[3].startswith("good,")
+    assert lines[4].startswith("nan,failed,failed")
+    assert lines[5].startswith("square,failed,failed")
 
 
 def test_bench_csv_to_file_and_jobs(tmp_path, capsys):

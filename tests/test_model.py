@@ -6,7 +6,6 @@ from optlp.model import (
     Iterate,
     SolverConfig,
     StandardLp,
-    duality_gap,
     neighborhood_distance,
     residuals,
     stopping_criterion,
@@ -14,25 +13,6 @@ from optlp.model import (
 from optlp.solver import generate_synthetic
 
 from helpers import random_interior_iterate
-
-
-def test_duality_gap_basic():
-    assert duality_gap([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) == 1.0
-    assert duality_gap([1.0, 2.0], [2.0, 1.0]) == 2.0
-    assert duality_gap([3.0], [0.5]) == 1.5
-
-
-def test_duality_gap_mismatch():
-    with pytest.raises(InvalidInputError):
-        duality_gap([1.0, 2.0], [1.0])
-
-
-def test_duality_gap_homogeneous():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(0.1, 2.0, size=9)
-    s = rng.uniform(0.1, 2.0, size=9)
-    for t in (0.5, 2.0, 7.25):
-        assert duality_gap(t * x, s) == pytest.approx(t * duality_gap(x, s), rel=1e-14)
 
 
 def test_neighborhood_distance_cases():

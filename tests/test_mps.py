@@ -114,6 +114,15 @@ def test_parse_exponent_and_d_notation():
     assert prob.columns[0] == ("X1", "COST", 15.0)
 
 
+def test_parse_rejects_non_finite_numbers():
+    for token in ("nan", "inf", "-Infinity", "1e400", "1D400"):
+        for old, new, line in (("COST  1.5", f"COST  {token}", 6),
+                               ("BAL  4.0", f"BAL  {token}", 10)):
+            with pytest.raises(MpsParseError, match="non-finite") as exc:
+                parse_mps(MINIMAL.replace(old, new))
+            assert exc.value.line == line
+
+
 def test_standard_form_le_slack():
     text = """\
 NAME  LE

@@ -1,17 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from optlp.direction import StepPolynomials, build_factors, decompose, step_polynomials
 from optlp.errors import DegenerateInputError, InvalidInputError, NoFeasibleStepError
-from optlp.solver import generate_synthetic
+from optlp.model import Iterate, SolverConfig
+from optlp.solver import generate_synthetic, safeguarded_step
 from optlp.stepsel import (
     CandidatePair,
     QuarticPoly,
     eval_f,
-    eval_g,
     eval_h,
     f_alpha1_poly,
     g_poly,
@@ -21,8 +22,10 @@ from optlp.stepsel import (
 
 from helpers import (
     float64_sign,
+    mp_best_step,
     mp_polyroots,
     random_interior_iterate,
+    sampled_best_step,
     step_grid_best,
 )
 
@@ -88,10 +91,11 @@ def test_eval_g_endpoints():
     for _ in range(10):
         a0, a1, a2, a3, a4 = rng.uniform(0.1, 2.0, size=5)
         sp = make_sp(a0, a1, a2, a3, a4)
-        assert eval_g(sp, 0.0) == pytest.approx(-2.0 * a0, rel=1e-14)
-        assert eval_g(sp, 1.0) == pytest.approx(2.0 * eval_h(sp, 1.0), rel=1e-12, abs=1e-12)
+        g = g_poly(sp).coefficients()
+        assert np.polyval(g, 0.0) == pytest.approx(-2.0 * a0, rel=1e-14)
+        assert np.polyval(g, 1.0) == pytest.approx(2.0 * eval_h(sp, 1.0), rel=1e-12, abs=1e-12)
     sp = make_sp(4.0, 12.0, 13.0, 6.0, 1.0)
-    assert eval_g(sp, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert np.polyval(g_poly(sp).coefficients(), 1.0) == pytest.approx(0.0, abs=1e-12)
     assert eval_h(sp, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -302,30 +306,79 @@ def test_select_step_shortstep_dominance_when_feasible():
             assert pair.predicted_mu <= sp.mu * sigma_ss + 1e-12 * sp.mu
 
 
-def test_grid_fallback_when_root_finding_fails(monkeypatch):
-    # any vector-realizable coefficient set admits a candidate analytically,
-    # so the fallback only triggers when the quartic solver comes up empty;
+def test_sigma_one_when_root_finding_fails(monkeypatch):
+    # any vector-realizable coefficient set has an f or g root analytically,
+    # so the endpoint wins only when the root finder comes up empty;
     # simulate that failure mode directly
     import optlp.stepsel as stepsel_mod
 
     monkeypatch.setattr(stepsel_mod, "real_roots_in_open_unit", lambda poly: [])
     sp = make_sp(1.0, 0.0, 2.0, 0.0, 1.0, theta=0.9, mu=1.0, n=4)
     pair = select_step(sp)
-    assert pair.origin == "grid_fallback"
-    assert 0.0 < pair.sigma < 1.0 and 0.0 < pair.alpha <= 1.0
-    assert eval_f(sp, pair.sigma, pair.alpha) <= 1e-9 * (abs(sp.a0) + (sp.theta * sp.mu) ** 2)
-    best = step_grid_best(sp)
-    assert pair.predicted_mu <= best + 1e-6 * sp.mu
+    assert pair.origin == "sigma_one"
+    assert pair.sigma == 1.0 and pair.predicted_mu == sp.mu
+    assert pair.alpha == sp.theta * sp.mu / math.sqrt(eval_h(sp, 1.0))
+    assert eval_f(sp, pair.sigma, pair.alpha) <= 0.0
 
 
-def test_select_step_no_feasible_raises(monkeypatch):
+def test_select_step_huge_h_takes_a_vanishing_sigma_one_step(monkeypatch):
     import optlp.stepsel as stepsel_mod
 
     monkeypatch.setattr(stepsel_mod, "real_roots_in_open_unit", lambda poly: [])
-    # h astronomically large against theta*mu: every grid point infeasible
+    # h astronomically large against theta*mu: only a vanishing alpha is
+    # admissible, and the safeguard ends the solve on it
     sp = make_sp(1e30, 0.0, 0.0, 0.0, 0.0, theta=1e-6, mu=1e-6, n=4)
+    pair = select_step(sp)
+    assert pair.origin == "sigma_one" and pair.sigma == 1.0
+    assert 0.0 < pair.alpha < 1e-20
+    assert eval_f(sp, pair.sigma, pair.alpha) <= 1e-14 * (sp.a0 + (sp.theta * sp.mu) ** 2)
+    it = Iterate(np.ones(4), np.zeros(2), np.ones(4))
+    direction = (np.full(4, 0.5), np.ones(2), np.full(4, 0.5))
     with pytest.raises(NoFeasibleStepError):
-        select_step(sp)
+        safeguarded_step(it, direction, pair, SolverConfig(theta=0.5))
+
+
+def realizable_polynomials(count, seed=5):
+    """Step polynomials of random (p, q, r) with n in 2..8, entries scaled by
+    10^U(-1, 1) and mu = 1: h is often large against theta mu, where g wins."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        p, q, r = (rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 1.0, size=n)
+                   for _ in range(3))
+        out.append(StepPolynomials(
+            a0=float(p @ p), a1=2.0 * float(q @ p), a2=2.0 * float(p @ r) + float(q @ q),
+            a3=2.0 * float(q @ r), a4=float(r @ r), theta=(0.25, 0.5, 0.9, 0.99)[i % 4],
+            mu=1.0, p=p, q=q, r=r,
+        ))
+    return out
+
+
+def test_select_step_matches_extended_precision_oracle():
+    """select_step's predicted gap is the least over the whole admissible set,
+    to relative 1e-12, against the 50-digit one-variable oracle; the oracle is
+    itself checked against a float64 sample of 10^5 sigmas. The chosen pair is
+    admissible at 50 digits up to the rounding of a float64 root."""
+    # live polynomials only ever give f_root_alpha1; the realizable batch and
+    # the last case (h > theta^2 sigma^2, so f(., 1) has no root) give g_root
+    cases = (harvested_polynomials(25) + realizable_polynomials(60)
+             + [make_sp(1.0, 0.0, 2.0, 0.0, 1.0, theta=0.9)])
+    origins = set()
+    for sp in cases:
+        pair = select_step(sp)
+        origins.add(pair.origin)
+        phi, sigma_best = mp_best_step(sp)
+        assert pair.predicted_mu / sp.mu == pytest.approx(float(phi), rel=1e-12), (
+            pair, float(sigma_best))
+        assert float(phi) <= sampled_best_step(sp) * (1.0 + 1e-12)
+        with mpmath.workdps(50):
+            sigma, alpha = mpmath.mpf(pair.sigma), mpmath.mpf(pair.alpha)
+            h = sum(mpmath.mpf(c) * sigma**k for k, c in
+                    enumerate((sp.a0, -sp.a1, sp.a2, -sp.a3, sp.a4)))
+            f = h - (mpmath.mpf(sp.theta) * sp.mu * sigma / alpha) ** 2
+            assert f <= 1e-14 * (sp.a0 + (sp.theta * sp.mu) ** 2)
+    assert {"f_root_alpha1", "g_root"} <= origins
 
 
 def test_poly_builders_match_definitions():
