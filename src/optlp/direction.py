@@ -8,18 +8,21 @@ The Newton system solved implicitly here is
 
 with the update convention (x,y,s) <- (x - alpha dx, y - alpha dy, s - alpha ds).
 Rather than forming the inverses of the reduced systems directly, the
-directions come from one thin QR factorization of the scaled row space,
-which stays accurate as components of x and s approach zero:
+directions come from one Householder QR factorization of the scaled row
+space, which stays accurate as components of x and s approach zero:
 
-    Q2 R2 = D A^T          (D = diag(sqrt(x_i / s_i)))
+    Q R = [Q1 Q2] [R1; 0] = D A^T          (D = diag(sqrt(x_i / s_i)))
 
 dx splits as p_x - sigma q_x and ds as p_s - sigma q_s, where the p/q vectors
-are projections of sqrt(x o s) and mu / sqrt(x o s) onto range(D A^T) and
-onto its orthogonal complement range(D^-1 Z) (Z any null-space basis of A;
-for Az = 0, (D^-1 z)^T (D A^T u) = (Az)^T u = 0), rescaled by D. The
-complement projector is I - Q2 Q2^T, applied twice because one pass loses
-accuracy to cancellation when most of a vector lies in range(D A^T)
-("twice is enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
+are the projections of the columns of V = [v, mu / v] (v = sqrt(x o s)) onto
+range(D A^T) = range(Q1) and onto its orthogonal complement range(Q2) =
+range(D^-1 Z) (Z any null-space basis of A; for Az = 0, (D^-1 z)^T (D A^T u)
+= (Az)^T u = 0), rescaled by D. Q is never formed: it stays as the n x m
+block of reflectors that LAPACK's dgeqrf leaves below R1, and is applied
+with dormqr (Golub & Van Loan, Matrix Computations, 5.1.6 and 5.2). With
+c = Q^T V split into its first m rows c1 and the rest c2, the projections
+are Q [c1; 0] and Q [0; c2]: the null-space part comes from an orthogonal
+transformation, not from a subtraction that would cancel.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import IllConditionedError, InvalidInputError
-from .linalg import qr_thin, solve_upper_triangular
+from .linalg import solve_upper_triangular
 from .model import Iterate, StandardLp
 
 # Beyond this ratio of x_i/s_i (either way) the scaled factorizations are
@@ -39,16 +43,18 @@ MAX_SCALING_RATIO = 1e16
 
 @dataclass(frozen=True)
 class FactorCache:
-    """Thin QR of one iterate's scaled row space, q2 r2 = D A^T.
+    """Householder QR of one iterate's scaled row space, Q [R1; 0] = D A^T.
 
-    q2 (n x m) has orthonormal columns spanning range(D A^T); I - q2 q2^T
-    projects onto the scaled null space range(D^-1 Z) of A. r2 is kept to
-    recover the dual direction by back-substitution. d holds sqrt(x_i/s_i).
+    qr (n x m, Fortran order) holds R1 on and above its diagonal and, below
+    it, the reflectors whose product is Q; tau holds their scalar factors.
+    Applied through them, Q1 Q1^T projects onto range(D A^T) and Q2 Q2^T
+    onto the scaled null space range(D^-1 Z) of A. R1 recovers the dual
+    direction by back-substitution. d holds sqrt(x_i/s_i).
     """
 
-    q2: np.ndarray
+    qr: np.ndarray
+    tau: np.ndarray
     d: np.ndarray
-    r2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,26 +109,31 @@ def build_factors(lp: StandardLp, it: Iterate) -> FactorCache:
             f"x[{i}]/s[{i}] = {ratio[i]:.3e} exceeds the factorization range", index=i
         )
     d = np.sqrt(ratio)
-    f = qr_thin(lp.a.T * d[:, None])
-    if not np.isfinite(f.q).all():
+    lwork, _ = lapack.dgeqrf_lwork(lp.n, lp.m)
+    # D A^T comes out in Fortran order, which dgeqrf factors in place
+    qr, tau, _, info = lapack.dgeqrf(lp.a.T * d[:, None], lwork=int(lwork), overwrite_a=1)
+    if info != 0 or not np.isfinite(qr).all():
         raise IllConditionedError("scaled QR factors are not finite", index=-1)
-    return FactorCache(q2=f.q, d=d, r2=f.r)
+    return FactorCache(qr=qr, tau=tau, d=d)
 
 
 def decompose(cache: FactorCache, it: Iterate) -> DirectionDecomposition:
     """Split the Newton direction into its sigma-independent components."""
-    d, q2 = cache.d, cache.q2
+    d, qr, tau = cache.d, cache.qr, cache.tau
+    m = qr.shape[1]
     v = np.sqrt(it.x * it.s)  # sqrt(x o s)
-    vw = np.column_stack((v, it.mu / v))  # [v, mu (x o s)^{-1/2}]
-    coeffs = q2.T @ vw
-    row = q2 @ coeffs
-    null = vw - row
-    # second pass: the first leaves a range(q2) part of size eps ||vw||,
-    # which is large against a small null-space part
-    null -= q2 @ (q2.T @ null)
+    vw = np.vstack((v, it.mu / v)).T  # [v, mu (x o s)^{-1/2}], Fortran order
+    # lwork = the operand's column count selects the unblocked dorm2r, the
+    # faster one on so few columns
+    c, _, _ = lapack.dormqr("L", "T", qr, tau, vw, 2, overwrite_c=1)
+    parts = np.zeros((qr.shape[0], 4), order="F")
+    parts[:m, :2] = c[:m]
+    parts[m:, 2:] = c[m:]
+    parts, _, _ = lapack.dormqr("L", "N", qr, tau, parts, 4, overwrite_c=1)
+    row, null = parts[:, :2], parts[:, 2:]
     p_x, q_x = d * null[:, 0], d * null[:, 1]
     p_s, q_s = row[:, 0] / d, row[:, 1] / d
-    y = solve_upper_triangular(cache.r2, coeffs)
+    y = solve_upper_triangular(qr[:m], c[:m])  # reads only R1
     y_p, y_q = y[:, 0], y[:, 1]
     return DirectionDecomposition(p_x=p_x, q_x=q_x, p_s=p_s, q_s=q_s, y_p=y_p, y_q=y_q)
 

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .direction import (
     assemble_direction,
@@ -18,7 +19,7 @@ from .direction import (
     step_polynomials,
 )
 from .errors import IllConditionedError, InvalidInputError, NoFeasibleStepError
-from .linalg import least_squares, min_norm_solution, qr_thin, rank_reveal
+from .linalg import rank_reveal
 from .model import (
     Iterate,
     SolverConfig,
@@ -138,18 +139,28 @@ def _exact_step(
 ) -> Iterate | None:
     """The full pure Newton step, which lands on an optimal boundary point.
 
-    Components of x (or s) that come out negative by no more than roundoff,
-    |x_i| <= eps ||x||, are set to zero. None when one is more negative than
-    that, or when the point is not finite; the caller then takes the
-    safeguarded step instead.
+    Components of x (or s) that come out negative by no more than roundoff
+    are set to zero. The bound is taken from the pre-step point, because on
+    an exact landing the landed components are themselves roundoff. In the
+    scaled variables of :mod:`optlp.direction`, D^-1 x_new = v - null and
+    D s_new = v - row, where v = sqrt(x o s) and [row, null] come from v by
+    2m Householder reflections (Q^T, then Q). Each reflection is backward
+    stable in the 2-norm (Higham, Accuracy and Stability of Numerical
+    Algorithms, Lemma 19.3); with its constant taken as 1 it adds at most
+    eps ||v|| to a component, and the rescaling by D and the subtraction
+    from the pre-step point add one eps ||v|| each. So landed components
+    down to -2(m+1) eps ||v|| d_i (x) and -2(m+1) eps ||v|| / d_i (s) are
+    roundoff. None when one is more negative than that, or when the point
+    is not finite; the caller then takes the safeguarded step instead.
     """
     dx, dy, ds = direction
     x, y, s = it.x - dx, it.y - dy, it.s - ds
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(s).all()):
         return None
-    for v in (x, s):
-        if np.min(v) < -np.finfo(float).eps * np.linalg.norm(v):
-            return None
+    d = np.sqrt(it.x / it.s)
+    bound = 2 * (it.y.size + 1) * np.finfo(float).eps * math.sqrt(float(it.x @ it.s))
+    if np.any(x < -bound * d) or np.any(s < -bound / d):
+        return None
     x, s = np.maximum(x, 0.0), np.maximum(s, 0.0)
     return Iterate.unchecked(x, y, s, float(x @ s) / x.shape[0])
 
@@ -174,11 +185,7 @@ def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
     status = STATUS_MAX_ITER
     for k in range(1, cfg.max_iter + 1):
         try:
-            # `cache` keeps the previous factors alive until the new ones are
-            # built; freed first, their pages go back to the OS and fault in
-            # again on every iteration (n = 1024: 18x the faults, +20% time)
-            cache = build_factors(lp, it)
-            dec = decompose(cache, it)
+            dec = decompose(build_factors(lp, it), it)
             pair, polys = choose(dec, it)
             if observer is not None:
                 observer(k, it, dec, polys, pair)
@@ -279,10 +286,9 @@ def heuristic_start(lp: StandardLp, theta: float = 0.99) -> Iterate | None:
     on well-centered problems, and failure is a value so callers can fall
     back to a supplied start.
     """
-    factors = qr_thin(lp.a.T)
     e = np.ones(lp.n)
-    x = e + min_norm_solution(factors, lp.b - lp.a @ e)
-    y = least_squares(factors, lp.c - e)
+    x = e + scipy.linalg.lstsq(lp.a, lp.b - lp.a @ e)[0]  # minimum-norm correction
+    y = scipy.linalg.lstsq(lp.a.T, lp.c - e)[0]
     s = lp.c - lp.a.T @ y
     if np.min(x) <= 0.0 or np.min(s) <= 0.0:
         return None

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 
 from optlp.cli import read_start_file
 from optlp.direction import (
@@ -32,18 +33,27 @@ def problem():
     return generate_synthetic(14, 6, seed=77)
 
 
+def reflector_bases(cache):
+    """Orthonormal bases (range, null) of range(D A^T) and its complement:
+    the columns of Q, formed by applying the cached reflectors to I."""
+    n, m = cache.qr.shape
+    q = lapack.dormqr("L", "N", cache.qr, cache.tau, np.eye(n), n)[0]
+    return q[:, :m], q[:, m:]
+
+
 def test_build_factors_unit_scaling(problem):
     lp, start = problem
     cache = build_factors(lp, start)
     assert np.allclose(cache.d, 1.0)
-    # Q2 spans range(A^T); its complement I - Q2 Q2^T projects onto null(A)
-    proj = cache.q2 @ (cache.q2.T @ lp.a.T)
+    # Q1 spans range(A^T); Q2 Q2^T projects onto null(A)
+    q1, q2 = reflector_bases(cache)
+    proj = q1 @ (q1.T @ lp.a.T)
     assert np.allclose(proj, lp.a.T, atol=1e-10)
-    complement = np.eye(lp.n) - cache.q2 @ cache.q2.T
+    complement = q2 @ q2.T
     assert np.max(np.abs(lp.a @ complement)) <= 1e-10 * np.max(np.abs(lp.a))
     z = scipy.linalg.null_space(lp.a)
     assert z.shape[1] + lp.m == lp.n
-    assert np.max(np.abs(cache.q2.T @ z)) <= 1e-12
+    assert np.max(np.abs(q1.T @ z)) <= 1e-12
 
 
 def test_build_factors_orthonormal_and_complementary(problem):
@@ -54,13 +64,15 @@ def test_build_factors_orthonormal_and_complementary(problem):
     for _ in range(5):
         it = random_interior_iterate(lp, start, rng)
         cache = build_factors(lp, it)
-        k2 = cache.q2.shape[1]
-        assert np.max(np.abs(cache.q2.T @ cache.q2 - np.eye(k2))) <= 1e-12
+        q1, q2 = reflector_bases(cache)
+        assert np.max(np.abs(q1.T @ q1 - np.eye(lp.m))) <= 1e-12
+        assert np.max(np.abs(q2.T @ q2 - np.eye(lp.n - lp.m))) <= 1e-12
         # an independent orthonormal basis of the scaled null space range(D^-1 Z)
-        q1, _ = np.linalg.qr(z / cache.d[:, None])
-        assert np.max(np.abs(cache.q2.T @ q1)) <= 1e-12
-        combined = q1 @ q1.T + cache.q2 @ cache.q2.T
+        zd, _ = np.linalg.qr(z / cache.d[:, None])
+        assert np.max(np.abs(q1.T @ zd)) <= 1e-12
+        combined = zd @ zd.T + q1 @ q1.T
         assert np.max(np.abs(combined - np.eye(lp.n))) <= 1e-9
+        assert np.max(np.abs(zd @ zd.T - q2 @ q2.T)) <= 1e-9
         dec = decompose(cache, it)
         for u in (dec.p_x, dec.q_x):
             assert np.max(np.abs(lp.a @ u)) <= 1e-10 * np.max(np.abs(lp.a)) * np.linalg.norm(u)
@@ -74,6 +86,15 @@ def test_build_factors_ill_conditioning_error(problem):
     with pytest.raises(IllConditionedError) as exc:
         build_factors(lp, it)
     assert exc.value.index == 3
+
+
+def test_build_factors_overflow_is_ill_conditioned(problem):
+    # x/s = 1e14 is inside the factorization range, but D A^T overflows
+    lp, start = problem
+    big = StandardLp(lp.a * 1e305, lp.b * 1e305, lp.c * 1e305)
+    it = Iterate(np.full(lp.n, 1e7), start.y, np.full(lp.n, 1e-7))
+    with np.errstate(over="ignore"), pytest.raises(IllConditionedError):
+        build_factors(big, it)
 
 
 def test_decompose_centered_point_merges_pq(problem):
@@ -182,7 +203,7 @@ def test_qr_route_matches_dense_solve(problem):
 
 def test_directions_match_extended_precision_kkt_near_the_optimum():
     # the last iterates of a tight solve have x_i/s_i spread over ~1e-12..1e12,
-    # where the complement projection I - Q2 Q2^T is most prone to cancellation
+    # where the null-space projection is most prone to cancellation
     afiro, _ = to_standard_form(parse_mps((NETLIB / "afiro.mps").read_text()))
     afiro_start = read_start_file(NETLIB / "afiro.start", afiro.n, afiro.m)
     worst = 0.0

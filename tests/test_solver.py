@@ -109,6 +109,23 @@ def test_one_iteration_exact_case():
     assert report.objective == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("n, m, seed", [(64, 24, 3), (512, 200, 2), (1024, 400, 1)])
+def test_exact_landing_takes_one_iteration(n, m, seed):
+    # s0 = A^T e_0 > 0 lies in range(A^T), so a0 = 0, and x0 = mean(s0)/s0
+    # is centered: the pure Newton step lands on s = 0, where every landed
+    # s_i is roundoff of either sign
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n))
+    a[0] = np.abs(a[0])
+    s0, y0 = a[0].copy(), rng.normal(size=m)
+    x0 = np.mean(s0) / s0
+    lp = StandardLp(a, a @ x0, a.T @ y0 + s0)
+    report = solve(lp, Iterate(x0, y0, s0))
+    assert report.status == STATUS_OPTIMAL
+    assert [rec.origin for rec in report.iterations] == ["a0_zero"]
+    assert report.final.mu <= 1e-12 * np.mean(s0)
+
+
 @pytest.mark.parametrize("index", [9, 17, 27, 39, 54, 57])
 def test_tight_tolerance_ends_optimal(index):
     # at tol 1e-14 these once ended in an exact step whose roundoff-negative
