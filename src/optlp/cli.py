@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .solver import (
     STATUS_MAX_ITER,
     STATUS_NO_START,
     STATUS_OPTIMAL,
+    IterationRecord,
     SolveReport,
     generate_synthetic,
     heuristic_start,
@@ -99,17 +100,22 @@ def read_start_file(path, n: int, m: int) -> Iterate:
     return Iterate(vals[:n], vals[n:n + m], vals[n + m:])
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
+
+
 def report_to_dict(report: SolveReport, problem: str) -> dict:
     return {
         "problem": problem,
         "status": report.status,
         "objective": report.objective,
         "mu": report.final.mu,
-        "iterations": [asdict(rec) for rec in report.iterations],
+        # what asdict gives, without its deep copy of every field
+        "iterations": [{name: getattr(rec, name) for name in _RECORD_FIELDS}
+                       for rec in report.iterations],
         "final": {
-            "x": [float(v) for v in report.final.x],
-            "y": [float(v) for v in report.final.y],
-            "s": [float(v) for v in report.final.s],
+            "x": report.final.x.tolist(),
+            "y": report.final.y.tolist(),
+            "s": report.final.s.tolist(),
         },
     }
 
@@ -166,8 +172,8 @@ def cmd_solve(args) -> int:
     runner = solve_shortstep_baseline if args.algorithm == "shortstep" else solve
     report = runner(lp, start, cfg)
     if args.output == "json":
-        json.dump(report_to_dict(report, lp.name), sys.stdout, indent=2)
-        print()
+        # one string and one write: json.dump writes every token separately
+        print(json.dumps(report_to_dict(report, lp.name), indent=2))
     else:
         _print_text_report(report, lp.name, sys.stdout)
     if report.status != STATUS_OPTIMAL:

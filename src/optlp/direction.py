@@ -100,14 +100,16 @@ class StepPolynomials:
 
 def build_factors(lp: StandardLp, it: Iterate) -> FactorCache:
     """Factor the scaled row space D A^T at an iterate."""
-    x, s = it.x, it.s
-    ratio = x / s
-    bad = np.where((ratio > MAX_SCALING_RATIO) | (ratio < 1.0 / MAX_SCALING_RATIO))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise IllConditionedError(
-            f"x[{i}]/s[{i}] = {ratio[i]:.3e} exceeds the factorization range", index=i
-        )
+    ratio = it.x / it.s
+    # two reductions clear the usual case; a NaN, which passes, or an
+    # offending ratio takes the index scan
+    if not (ratio.max() <= MAX_SCALING_RATIO and ratio.min() >= 1.0 / MAX_SCALING_RATIO):
+        bad = np.where((ratio > MAX_SCALING_RATIO) | (ratio < 1.0 / MAX_SCALING_RATIO))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise IllConditionedError(
+                f"x[{i}]/s[{i}] = {ratio[i]:.3e} exceeds the factorization range", index=i
+            )
     d = np.sqrt(ratio)
     lwork, _ = lapack.dgeqrf_lwork(lp.n, lp.m)
     # D A^T comes out in Fortran order, which dgeqrf factors in place
@@ -120,13 +122,14 @@ def build_factors(lp: StandardLp, it: Iterate) -> FactorCache:
 def decompose(cache: FactorCache, it: Iterate) -> DirectionDecomposition:
     """Split the Newton direction into its sigma-independent components."""
     d, qr, tau = cache.d, cache.qr, cache.tau
-    m = qr.shape[1]
-    v = np.sqrt(it.x * it.s)  # sqrt(x o s)
-    vw = np.vstack((v, it.mu / v)).T  # [v, mu (x o s)^{-1/2}], Fortran order
+    n, m = qr.shape
+    vw = np.empty((n, 2), order="F")  # [v, mu (x o s)^{-1/2}], v = sqrt(x o s)
+    v = np.sqrt(it.x * it.s, out=vw[:, 0])
+    np.divide(it.mu, v, out=vw[:, 1])
     # lwork = the operand's column count selects the unblocked dorm2r, the
     # faster one on so few columns
     c, _, _ = lapack.dormqr("L", "T", qr, tau, vw, 2, overwrite_c=1)
-    parts = np.zeros((qr.shape[0], 4), order="F")
+    parts = np.zeros((n, 4), order="F")
     parts[:m, :2] = c[:m]
     parts[m:, 2:] = c[m:]
     parts, _, _ = lapack.dormqr("L", "N", qr, tau, parts, 4, overwrite_c=1)

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
-from .errors import InvalidInputError
+from .errors import IllConditionedError, InvalidInputError
 
 DEFAULT_RANK_TOL = 1e-12
 
@@ -46,6 +47,20 @@ def rank_reveal(a, rel_tol: float = DEFAULT_RANK_TOL) -> tuple[int, list[int]]:
 
 def solve_upper_triangular(r, b) -> np.ndarray:
     """Solve R x = b for upper-triangular R; the strict lower triangle of
-    ``r`` is never read. ``r`` is copied to Fortran order first: on a strided
-    view (R inside Householder factors) the solve is otherwise about 4x slower."""
-    return scipy.linalg.solve_triangular(np.asfortranarray(r), b)
+    ``r`` is never read. Calls LAPACK's dtrtrs as ``scipy.linalg.
+    solve_triangular`` does, without its per-call validation; a zero on the
+    diagonal or a non-finite operand raises :class:`IllConditionedError`.
+    Operands not in Fortran order, such as R inside Householder factors,
+    are copied to it on the way in."""
+    r, b = np.asarray(r), np.asarray(b)
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or b.ndim not in (1, 2) or b.shape[0] != r.shape[0]:
+        raise InvalidInputError(f"shapes of R {r.shape} and b {b.shape} do not match")
+    if not (np.isfinite(r).all() and np.isfinite(b).all()):
+        raise IllConditionedError("triangular system is not finite", index=-1)
+    x, info = lapack.dtrtrs(r, b)
+    if info > 0:
+        raise IllConditionedError(f"triangular factor is singular at diagonal {info - 1}",
+                                  index=info - 1)
+    if info < 0:
+        raise InvalidInputError(f"illegal value in argument {-info} of dtrtrs")
+    return x

@@ -4,6 +4,7 @@ stopping criterion."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -11,6 +12,12 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import as_matrix, rank_reveal
+
+
+def norm(v: np.ndarray) -> float:
+    """2-norm of a contiguous 1-d float vector: ``np.linalg.norm(v)`` to the
+    bit, since that computes sqrt(v.dot(v)) too, without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -59,6 +66,9 @@ class StandardLp:
         self.b = b
         self.c = c
         self.name = name
+        # the residual scales 1 + ||b|| and 1 + ||c||
+        self.b_scale = 1.0 + norm(b)
+        self.c_scale = 1.0 + norm(c)
 
     @property
     def m(self) -> int:
@@ -131,8 +141,10 @@ class SolverConfig:
             raise InvalidInputError(f"theta must be in (0,1), got {self.theta}")
         if not self.tol > 0.0:
             raise InvalidInputError("tol must be positive")
-        if self.max_iter <= 0:
-            raise InvalidInputError("max_iter must be positive")
+        # bool is an int subclass, but max_iter=True is a mistake, not 1
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter <= 0):
+            raise InvalidInputError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
 
 def neighborhood_distance(x, s) -> float:
@@ -147,7 +159,7 @@ def neighborhood_distance(x, s) -> float:
     if x.shape[0] == 0 or np.min(x) <= 0.0 or np.min(s) <= 0.0:
         raise InvalidInputError("x and s must be strictly positive")
     mu = float(x @ s) / x.shape[0]
-    return float(np.linalg.norm(x * s - mu))
+    return norm(x * s - mu)
 
 
 def residuals(lp: StandardLp, it: Iterate) -> tuple[float, float]:
@@ -160,9 +172,7 @@ def residuals(lp: StandardLp, it: Iterate) -> tuple[float, float]:
             f"iterate of shape (n={it.x.shape[0]}, m={it.y.shape[0]}) does not "
             f"match problem (n={lp.n}, m={lp.m})"
         )
-    primal = np.linalg.norm(lp.a @ it.x - lp.b) / (1.0 + np.linalg.norm(lp.b))
-    dual = np.linalg.norm(lp.a.T @ it.y + it.s - lp.c) / (1.0 + np.linalg.norm(lp.c))
-    return float(primal), float(dual)
+    return norm(lp.a @ it.x - lp.b) / lp.b_scale, norm(lp.a.T @ it.y + it.s - lp.c) / lp.c_scale
 
 
 def stopping_criterion(lp: StandardLp, it: Iterate, tol: float) -> bool:

@@ -25,6 +25,7 @@ from .model import (
     SolverConfig,
     StandardLp,
     neighborhood_distance,
+    norm,
     residuals,
     stopping_criterion,
 )
@@ -83,7 +84,7 @@ def _make_record(lp: StandardLp, k: int, it: Iterate, sigma: float, alpha: float
         sigma=sigma,
         alpha=alpha,
         # from the cached mu, so that it is defined on boundary points too
-        neighborhood_dist=float(np.linalg.norm(it.x * it.s - it.mu)),
+        neighborhood_dist=norm(it.x * it.s - it.mu),
         primal_res=pr,
         dual_res=dr,
         origin=origin,
@@ -91,11 +92,14 @@ def _make_record(lp: StandardLp, k: int, it: Iterate, sigma: float, alpha: float
 
 
 def _start_rejected(lp: StandardLp, start: Iterate, theta: float) -> str | None:
+    # each test is written so that a NaN (an overflowed product) fails it
     pr, dr = residuals(lp, start)
-    if pr > START_RESIDUAL_TOL or dr > START_RESIDUAL_TOL:
+    if not (pr <= START_RESIDUAL_TOL and dr <= START_RESIDUAL_TOL):
         return f"start residuals ({pr:.2e}, {dr:.2e}) exceed {START_RESIDUAL_TOL:.0e}"
+    if not math.isfinite(start.mu):
+        return f"start gap mu = {start.mu} is not finite"
     dist = neighborhood_distance(start.x, start.s)
-    if dist > theta * start.mu * (1.0 + 1e-12):
+    if not dist <= theta * start.mu * (1.0 + 1e-12):
         return f"start lies outside the theta={theta} neighborhood ({dist:.3e} > {theta * start.mu:.3e})"
     return None
 
@@ -119,11 +123,11 @@ def safeguarded_step(
     for _ in range(SAFEGUARD_BACKTRACKS + 1):
         x = it.x - alpha * dx
         s = it.s - alpha * ds
-        if np.array_equal(x, it.x) and np.array_equal(s, it.s):
+        if (x == it.x).all() and (s == it.s).all():
             raise NoFeasibleStepError("step update fell below machine precision")
-        if np.min(x) > 0.0 and np.min(s) > 0.0:
+        if x.min() > 0.0 and s.min() > 0.0:
             mu = float(x @ s) / x.shape[0]
-            if mu > 0.0 and float(np.linalg.norm(x * s - mu)) <= slack * mu:
+            if mu > 0.0 and norm(x * s - mu) <= slack * mu:
                 y = it.y - alpha * dy
                 if not np.isfinite(y).all():
                     raise NoFeasibleStepError("dual update is not finite")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from optlp.cli import (
     EXIT_PARSE,
     main,
     read_start_file,
+    report_to_dict,
     write_start_file,
 )
 from optlp.mps import format_mps, from_standard_lp
@@ -135,6 +137,27 @@ def test_solve_max_iter_exit_code(generated, capsys):
     out, sidecar = generated
     code = main(["solve", str(out), "--start-file", str(sidecar), "--max-iter", "2"])
     assert code == EXIT_MAX_ITER
+
+
+def test_report_to_dict_keeps_the_asdict_format():
+    from optlp.mps import parse_mps, to_standard_form
+    from optlp.model import SolverConfig
+    from optlp.solver import solve
+
+    afiro = NETLIB / "afiro.mps"
+    lp, _ = to_standard_form(parse_mps(afiro.read_bytes()))
+    report = solve(lp, read_start_file(afiro.with_suffix(".start"), lp.n, lp.m), SolverConfig())
+    payload = report_to_dict(report, "afiro")
+    assert len(payload["iterations"]) == report.iteration_count > 0
+    for rec, got in zip(report.iterations, payload["iterations"]):
+        want = dataclasses.asdict(rec)
+        assert list(got) == list(want)
+        for key in want:
+            assert type(got[key]) is type(want[key]) and got[key] == want[key]
+    back = json.loads(json.dumps(payload, indent=2))
+    for key in ("x", "y", "s"):
+        vec = getattr(report.final, key)
+        assert np.array(back["final"][key]).tobytes() == vec.tobytes()
 
 
 def test_json_report_round_trips_exactly(generated, capsys):

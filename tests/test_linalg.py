@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optlp.errors import InvalidInputError
+from optlp.errors import IllConditionedError, InvalidInputError
 from optlp.linalg import rank_reveal, solve_upper_triangular
 
 
@@ -53,3 +53,20 @@ def test_solve_upper_triangular_ignores_the_lower_triangle():
     # below the diagonal may sit anything, e.g. Householder reflectors
     stored = r + np.tril(rng.normal(size=(4, 4)), -1)
     assert np.array_equal(solve_upper_triangular(stored, b), solve_upper_triangular(r, b))
+
+
+def test_solve_upper_triangular_failures_are_package_errors():
+    r = np.triu(np.ones((3, 3))) + np.eye(3)
+    b = np.ones(3)
+    singular = r.copy()
+    singular[1, 1] = 0.0
+    with pytest.raises(IllConditionedError) as info:
+        solve_upper_triangular(singular, b)
+    assert info.value.index == 1
+    for bad_r, bad_b in ((r, np.array([1.0, np.nan, 1.0])), (np.where(r == 2.0, np.inf, r), b)):
+        with pytest.raises(IllConditionedError):
+            solve_upper_triangular(bad_r, bad_b)
+    # shapes that dtrtrs would not reject on its own
+    for bad_r, bad_b in ((r, np.ones(4)), (r[:2], b), (r, np.ones((3, 1, 1)))):
+        with pytest.raises(InvalidInputError):
+            solve_upper_triangular(bad_r, bad_b)

@@ -134,6 +134,10 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(InvalidInputError):
         SolverConfig(max_iter=0)
+    for bad in (2.5, 3.0, True, "3", None, np.int64(0), np.float64(4.0)):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(max_iter=bad)
+    assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
 
 
 def test_random_interior_iterates_are_member_points():

@@ -86,6 +86,26 @@ def test_solve_rejects_bad_starts():
     assert solve(lp, infeasible).status == STATUS_NO_START
 
 
+def test_overflowing_start_has_no_interior_start():
+    # A x and A^T y overflow, so both residuals are NaN; such a start is
+    # not known to be feasible and must not pass as one
+    lp, start = generate_synthetic(14, 6, seed=77)
+    it = Iterate(np.full(lp.n, 1e7), start.y, np.full(lp.n, 1e-7))
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = StandardLp(lp.a * 1e305, lp.b * 1e305, lp.c * 1e305)
+        assert all(math.isnan(r) for r in residuals(big, it))
+        report = solve(big, it)
+    assert report.status == STATUS_NO_START
+    assert report.iterations == []
+
+    # a feasible start whose gap x.s/n overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        lp = StandardLp(np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1e200, 1e200]))
+        it = Iterate([1e200, 1e200], [0.0], [1e200, 1e200])
+        assert residuals(lp, it) == (0.0, 0.0) and math.isinf(it.mu)
+        assert solve(lp, it).status == STATUS_NO_START
+
+
 def test_solve_observer_sees_every_iteration():
     lp, start = generate_synthetic(16, 7, seed=41)
     seen = []
