@@ -13,13 +13,12 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import mps
+from . import mps, solver
 from .errors import InvalidInputError, OptLpError
 from .model import Iterate, SolverConfig, StandardLp
 from .solver import (
@@ -31,8 +30,6 @@ from .solver import (
     SolveReport,
     generate_synthetic,
     heuristic_start,
-    solve,
-    solve_shortstep_baseline,
 )
 
 log = logging.getLogger("optlp.cli")
@@ -64,6 +61,15 @@ REFERENCE_ITERATIONS = {
     "sctap2": 17,
     "sctap3": 18,
     "share1b": 11,
+}
+
+# Each algorithm's runner in optlp.solver and its default theta, the radius
+# its theory assumes; `bench` runs them in this order. A runner is looked up
+# by name when it is called, so that a wrapper put on it (a tracer's span)
+# is what runs.
+ALGORITHMS = {
+    "optimal": ("solve", 0.99),
+    "shortstep": ("solve_shortstep_baseline", 0.4),
 }
 
 
@@ -145,16 +151,15 @@ def _load_problem(path) -> StandardLp:
     return lp
 
 
-def _find_start(lp: StandardLp, theta: float, start_file=None) -> Iterate | None:
+def _find_start(lp: StandardLp, start_file=None) -> Iterate | None:
     if start_file is not None:
         return read_start_file(start_file, lp.n, lp.m)
-    return heuristic_start(lp, theta)
+    return heuristic_start(lp)
 
 
 def cmd_solve(args) -> int:
-    theta = args.theta if args.theta is not None else (
-        0.4 if args.algorithm == "shortstep" else 0.99
-    )
+    runner_name, default_theta = ALGORITHMS[args.algorithm]
+    theta = args.theta if args.theta is not None else default_theta
     try:
         cfg = SolverConfig(theta=theta, tol=args.tol, max_iter=args.max_iter)
         lp = _load_problem(args.path)
@@ -162,15 +167,14 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        start = _find_start(lp, cfg.theta, args.start_file)
+        start = _find_start(lp, args.start_file)
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_START
     if start is None:
         print(f"error: no interior starting point found for {lp.name}", file=sys.stderr)
         return EXIT_NO_START
-    runner = solve_shortstep_baseline if args.algorithm == "shortstep" else solve
-    report = runner(lp, start, cfg)
+    report = getattr(solver, runner_name)(lp, start, cfg)
     if args.output == "json":
         # one string and one write: json.dump writes every token separately
         print(json.dumps(report_to_dict(report, lp.name), indent=2))
@@ -196,9 +200,10 @@ def cmd_generate(args) -> int:
 
 
 def _bench_one(path: Path, runs):
-    """Solves one file with each (config, runner) of ``runs``, optimal then
-    baseline. Returns (problem, iters_optimal, iters_baseline, start_found);
-    iteration fields hold strings for failures."""
+    """Solves one file from one start with each (runner, config) of
+    ``runs``, optimal then baseline. Returns (problem, iters_optimal,
+    iters_baseline, start_found); iteration fields hold strings for
+    failures."""
     name = path.stem
     try:
         lp = _load_problem(path)
@@ -206,17 +211,16 @@ def _bench_one(path: Path, runs):
         log.warning("%s: %s", path, exc)
         return name, "failed", "failed", False
     sidecar = path.with_suffix(".start")
+    start = None
+    try:
+        start = _find_start(lp, sidecar if sidecar.exists() else None)
+    except (OptLpError, OSError) as exc:
+        log.warning("%s: start file rejected: %s", path, exc)
+    if start is None:
+        return name, "start-failed", "start-failed", False
     results = []
     start_found = False
-    for cfg, runner in runs:
-        start = None
-        try:
-            start = _find_start(lp, cfg.theta, sidecar if sidecar.exists() else None)
-        except (OptLpError, OSError) as exc:
-            log.warning("%s: start file rejected: %s", path, exc)
-        if start is None:
-            results.append("start-failed")
-            continue
+    for runner, cfg in runs:
         report = runner(lp, start, cfg)
         if report.status == STATUS_NO_START:
             results.append("start-failed")
@@ -231,8 +235,9 @@ def _bench_one(path: Path, runs):
 
 def cmd_bench(args) -> int:
     try:
-        runs = [(SolverConfig(theta=theta, tol=args.tol, max_iter=args.max_iter), runner)
-                for theta, runner in ((0.99, solve), (0.4, solve_shortstep_baseline))]
+        runs = [(getattr(solver, runner_name),
+                 SolverConfig(theta=theta, tol=args.tol, max_iter=args.max_iter))
+                for runner_name, theta in ALGORITHMS.values()]
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -244,12 +249,7 @@ def cmd_bench(args) -> int:
         (p for p in directory.iterdir() if p.suffix.lower() == ".mps"),
         key=lambda p: p.stem.lower(),
     )
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda p: _bench_one(p, runs), paths))
-    else:
-        rows = [_bench_one(p, runs) for p in paths]
-    rows.sort(key=lambda r: r[0].lower())
+    rows = [_bench_one(p, runs) for p in paths]
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="neighborhood radius (default 0.99; 0.4 for shortstep)")
     p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.add_argument("--max-iter", type=int, default=200)
-    p_solve.add_argument("--algorithm", choices=("optimal", "shortstep"), default="optimal")
+    p_solve.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="optimal")
     p_solve.add_argument("--start-file", default=None,
                          help="sidecar with x, y, s (whitespace-separated)")
     p_solve.add_argument("--output", choices=("text", "json"), default="text")
@@ -303,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("dir")
     p_bench.add_argument("--tol", type=float, default=1e-8)
     p_bench.add_argument("--max-iter", type=int, default=1000)
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -24,15 +24,13 @@ def as_matrix(mat) -> np.ndarray:
     return a
 
 
-def rank_reveal(a, rel_tol: float = DEFAULT_RANK_TOL) -> tuple[int, list[int]]:
+def rank_reveal(a) -> tuple[int, list[int]]:
     """Numerical row rank of ``a`` plus indices of independent rows.
 
     Runs a column-pivoted QR of ``a.T`` and counts pivoted diagonal entries
-    with |R_ii| > rel_tol * |R_11|. The returned row indices (sorted) select
-    a maximal independent subset of the rows of ``a``.
+    with |R_ii| > DEFAULT_RANK_TOL * |R_11|. The returned row indices
+    (sorted) select a maximal independent subset of the rows of ``a``.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise InvalidInputError(f"rel_tol must be in (0,1), got {rel_tol}")
     a = as_matrix(a)
     if min(a.shape) == 0:
         return 0, []
@@ -40,7 +38,7 @@ def rank_reveal(a, rel_tol: float = DEFAULT_RANK_TOL) -> tuple[int, list[int]]:
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         return 0, []
-    rank = int(np.count_nonzero(diag > rel_tol * diag[0]))
+    rank = int(np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0]))
     kept = sorted(int(i) for i in pivots[:rank])
     return rank, kept
 

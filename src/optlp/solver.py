@@ -19,7 +19,6 @@ from .direction import (
     step_polynomials,
 )
 from .errors import IllConditionedError, InvalidInputError, NoFeasibleStepError
-from .linalg import rank_reveal
 from .model import (
     Iterate,
     SolverConfig,
@@ -258,36 +257,32 @@ def solve_shortstep_baseline(
 def generate_synthetic(n: int, m: int, seed: int) -> tuple[StandardLp, Iterate]:
     """Random standard-form LP with a built-in perfectly centered start.
 
-    A is a dense Gaussian draw (redrawn if rank deficient), x0 = s0 = e,
-    y0 Gaussian, b = A x0 and c = A^T y0 + s0, so (x0, y0, s0) is strictly
-    feasible with mu = 1 and neighborhood distance 0.
+    A is a dense Gaussian draw, x0 = s0 = e, y0 Gaussian, b = A x0 and
+    c = A^T y0 + s0, so (x0, y0, s0) is strictly feasible with mu = 1 and
+    neighborhood distance 0. A draw that :class:`StandardLp`'s rank check
+    finds rank deficient raises :class:`InvalidInputError`.
     """
     if not 1 <= m < n:
         raise InvalidInputError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
-    a = None
-    for _ in range(20):
-        draw = rng.normal(size=(m, n))
-        rank, _ = rank_reveal(draw)
-        if rank == m:
-            a = draw
-            break
-    if a is None:
-        raise InvalidInputError(f"could not draw a full-rank {m}x{n} matrix")
+    a = rng.normal(size=(m, n))
     y0 = rng.normal(size=m)
     e = np.ones(n)
     b = a @ e
     c = a.T @ y0 + e
     lp = StandardLp(a, b, c, name=f"synthetic-n{n}-m{m}-seed{seed}")
+    if lp.m < m:
+        raise InvalidInputError(f"drew a {m}x{n} matrix of rank {lp.m}")
     return lp, Iterate(e, y0, e.copy())
 
 
-def heuristic_start(lp: StandardLp, theta: float = 0.99) -> Iterate | None:
-    """Cheap least-squares starting point; None when it is not interior.
+def heuristic_start(lp: StandardLp) -> Iterate | None:
+    """Cheap least-squares starting point; None when x or s is not positive.
 
     x is the point of {Ax = b} closest to e, and y pulls s = c - A^T y as
-    close to e as the row space allows. Deliberately weak: it only succeeds
-    on well-centered problems, and failure is a value so callers can fall
+    close to e as the row space allows. Deliberately weak: it lies in the
+    neighborhood only on well-centered problems, and the solvers' start
+    check decides whether it does. Failure is a value so callers can fall
     back to a supplied start.
     """
     e = np.ones(lp.n)
@@ -296,7 +291,4 @@ def heuristic_start(lp: StandardLp, theta: float = 0.99) -> Iterate | None:
     s = lp.c - lp.a.T @ y
     if np.min(x) <= 0.0 or np.min(s) <= 0.0:
         return None
-    it = Iterate(x, y, s)
-    if neighborhood_distance(x, s) > theta * it.mu:
-        return None
-    return it
+    return Iterate(x, y, s)

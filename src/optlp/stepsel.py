@@ -193,11 +193,11 @@ def select_step(sp: StepPolynomials) -> CandidatePair:
     1. a0 ~ 0 (||p|| negligible against mu sqrt(n)): the pure Newton step
        sigma = 0, alpha = 1 reaches an exact solution.
     2. The smallest root of f(sigma, 1) in (0, 1), with alpha = 1.
-    3. Every root sigma of g in (0, 1) with alpha = theta mu sigma /
-       sqrt(h(sigma)); pairs with alpha >= 1 are clamped to alpha = 1 and
-       kept only if f(sigma, 1) <= 0.
-    4. The endpoint sigma = 1 with alpha = min(1, theta mu / sqrt(h(1))),
-       which predicts mu itself. It wins only when float64 finds no other
+    3. Every root sigma of g in (0, 1), and the endpoint sigma = 1, with
+       alpha = min(1, theta mu sigma / sqrt(h(sigma))) (1 where h <= 0).
+       A root clamped to alpha = 1 satisfies f(sigma, 1) <= 0, so it lies
+       at or above the f root of item 2 and never beats it. The endpoint
+       predicts mu itself and wins only when float64 finds no other
        candidate: with a0 > 0, g(0) = -2 a0 < 0 <= 2 h(1) = g(1).
 
     The set is complete: for fixed sigma the best alpha is min(1, theta mu
@@ -213,16 +213,8 @@ def select_step(sp: StepPolynomials) -> CandidatePair:
     f_roots = real_roots_in_open_unit(f_alpha1_poly(sp))
     if f_roots:
         candidates.append(_pair(sp, f_roots[0], 1.0, "f_root_alpha1"))
-    for sigma in real_roots_in_open_unit(g_poly(sp)):
+    for sigma in real_roots_in_open_unit(g_poly(sp)) + [1.0]:
         h = eval_h(sp, sigma)
-        if h <= 0.0:
-            continue
-        alpha = sp.theta * sp.mu * sigma / math.sqrt(h)
-        if alpha < 1.0:
-            candidates.append(_pair(sp, sigma, alpha, "g_root"))
-        elif eval_f(sp, sigma, 1.0) <= 0.0:
-            candidates.append(_pair(sp, sigma, 1.0, "g_root"))
-    h1 = eval_h(sp, 1.0)
-    alpha1 = 1.0 if h1 <= 0.0 else min(1.0, sp.theta * sp.mu / math.sqrt(h1))
-    candidates.append(_pair(sp, 1.0, alpha1, "sigma_one"))
+        alpha = 1.0 if h <= 0.0 else min(1.0, sp.theta * sp.mu * sigma / math.sqrt(h))
+        candidates.append(_pair(sp, sigma, alpha, "g_root" if sigma < 1.0 else "sigma_one"))
     return min(candidates, key=lambda cp: (cp.predicted_mu, -cp.alpha, cp.sigma))

@@ -95,6 +95,23 @@ def test_solve_shortstep_flag(generated, capsys):
     assert all(f"{sigma:.6f}" in l for l in lines)
 
 
+@pytest.mark.parametrize("algorithm, runner", [
+    ("optimal", "solve"), ("shortstep", "solve_shortstep_baseline"),
+])
+def test_cli_runs_the_solver_modules_current_runner(generated, monkeypatch, algorithm, runner):
+    # a wrapper put on optlp.solver's function (as a tracer does) must be
+    # what solve and bench call
+    import optlp.solver
+
+    calls = []
+    original = getattr(optlp.solver, runner)
+    monkeypatch.setattr(optlp.solver, runner, lambda *a: calls.append(a) or original(*a))
+    out, sidecar = generated
+    assert main(["solve", str(out), "--algorithm", algorithm, "--start-file", str(sidecar)]) == EXIT_OK
+    assert main(["bench", str(out.parent)]) == EXIT_OK
+    assert len(calls) == 2
+
+
 def test_solve_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mps"
     for content, message in ((b"NAME  BAD\nGARBAGE\nENDATA\n", "line 2"),
@@ -131,6 +148,29 @@ ENDATA
     binary.write_bytes(NOT_UTF8)
     assert main(["solve", str(path), "--start-file", str(binary)]) == EXIT_NO_START
     assert "start file" in capsys.readouterr().err
+
+
+def test_off_centre_heuristic_start_is_rejected_by_the_solver(tmp_path, capsys):
+    # the heuristic gives x = (1, 1), y = 1.95, s = (0.05, 1.95): positive
+    # and feasible, but ||x o s - mu e|| = 1.34 > 0.99 mu with mu = 1
+    text = """\
+NAME  OFFCTR
+ROWS
+ N  COST
+ E  R1
+COLUMNS
+    X1  COST  2.0  R1  1.0
+    X2  COST  3.9  R1  1.0
+RHS
+    RHS  R1  2.0
+ENDATA
+"""
+    path = tmp_path / "offctr.mps"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == EXIT_NO_START
+    assert "status           no_interior_start" in capsys.readouterr().out
+    assert main(["bench", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].startswith("offctr,start-failed,start-failed,")
 
 
 def test_solve_max_iter_exit_code(generated, capsys):
@@ -283,15 +323,14 @@ def test_bench_continues_past_unreadable_file(tmp_path, capsys):
     assert lines[5].startswith("square,failed,failed")
 
 
-def test_bench_csv_to_file_and_jobs(tmp_path, capsys):
+def test_bench_csv_to_file(tmp_path, capsys):
     for seed in (1, 2, 3):
         lp, start = generate_synthetic(8, 3, seed=seed)
         (tmp_path / f"p{seed}.mps").write_text(format_mps(from_standard_lp(lp)))
         write_start_file(tmp_path / f"p{seed}.start", start)
     out_csv = tmp_path / "bench.csv"
-    code = main(["bench", str(tmp_path), "--jobs", "3", "--out", str(out_csv)])
+    code = main(["bench", str(tmp_path), "--out", str(out_csv)])
     assert code == EXIT_OK
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 4
-    # order-stable by problem name regardless of worker scheduling
     assert [l.split(",")[0] for l in lines[1:]] == ["p1", "p2", "p3"]

@@ -38,11 +38,9 @@ def test_rank_reveal_row_permutation_invariant():
     assert rank1 == rank2 == 3
 
 
-def test_rank_reveal_zero_matrix_and_bad_tol():
+def test_rank_reveal_zero_matrix():
     rank, kept = rank_reveal(np.zeros((2, 3)))
     assert rank == 0 and kept == []
-    with pytest.raises(InvalidInputError):
-        rank_reveal(np.eye(2), rel_tol=1.5)
 
 
 def test_solve_upper_triangular_ignores_the_lower_triangle():

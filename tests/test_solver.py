@@ -44,6 +44,35 @@ def test_generate_synthetic_contract():
         generate_synthetic(4, 0, seed=0)
 
 
+def _count_rank_reveals(monkeypatch, fake_rank=None):
+    import optlp.linalg
+    import optlp.model
+    import optlp.solver
+
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        rank, kept = optlp.linalg.rank_reveal(a)
+        return (rank, kept) if fake_rank is None else (fake_rank, kept[:fake_rank])
+
+    for module in (optlp.model, optlp.solver):
+        monkeypatch.setattr(module, "rank_reveal", counted, raising=False)
+    return calls
+
+
+def test_generate_synthetic_checks_rank_once(monkeypatch):
+    calls = _count_rank_reveals(monkeypatch)
+    generate_synthetic(16, 7, seed=5)
+    assert calls == [(7, 16)]
+
+
+def test_generate_synthetic_rank_deficient_draw_raises(monkeypatch):
+    _count_rank_reveals(monkeypatch, fake_rank=6)
+    with pytest.warns(UserWarning, match="rank 6 < 7"), pytest.raises(InvalidInputError):
+        generate_synthetic(16, 7, seed=5)
+
+
 def test_solve_synthetic_to_optimality():
     lp, start = generate_synthetic(20, 9, seed=11)
     report = solve(lp, start)

@@ -6,8 +6,10 @@ The set is AFIRO from its sidecar start plus the 60 problems of
 algorithms at theta 0.4 and 0.99 and tol 1e-8 and 1e-12, with max_iter
 1000. The SHA-256 covers, per solve and in that order, every
 ``IterationRecord``, the final x, y and s, the status and the objective.
-Floats enter by their exact bits. Run it from the root of a checkout, before
-and after a change, and compare the last line:
+Floats enter by their exact bits. It also prints how many iterations took
+each selection origin (``IterationRecord.origin``), so a change that moves a
+selection from one candidate source to another shows by name. Run it from
+the root of a checkout, before and after a change, and compare the output:
 
     python tools/identical_solves.py
 """
@@ -51,6 +53,7 @@ def main() -> int:
     digest = hashlib.sha256()
     solves = iterations = 0
     statuses = Counter()
+    origins = Counter()
     for lp, start in problems():
         for runner in (solve, solve_shortstep_baseline):
             for theta in (0.4, 0.99):
@@ -59,6 +62,7 @@ def main() -> int:
                     for rec in report.iterations:
                         for value in astuple(rec):
                             feed(digest, value)
+                        origins[rec.origin] += 1
                     for vec in (report.final.x, report.final.y, report.final.s):
                         digest.update(vec.tobytes())
                     feed(digest, report.status)
@@ -66,6 +70,7 @@ def main() -> int:
                     solves += 1
                     iterations += report.iteration_count
                     statuses[report.status] += 1
+    print("origins " + " ".join(f"{k}={v}" for k, v in sorted(origins.items())))
     print(f"solves {solves}")
     print(f"iterations {iterations}")
     print("statuses " + " ".join(f"{k}={v}" for k, v in sorted(statuses.items())))
