@@ -36,7 +36,8 @@ class StandardLp:
 
     Construction coerces A to full row rank: numerically dependent rows are
     dropped (with a warning) together with their right-hand sides. Requires
-    m < n after the reduction.
+    1 <= m < n after the reduction: an LP with no independent row left, such
+    as one whose only constraint has no coefficients, is rejected.
     """
 
     def __init__(self, a, b, c, name: str = ""):
@@ -58,6 +59,8 @@ class StandardLp:
             a = np.ascontiguousarray(a[kept])
             b = b[kept]
             m = rank
+        if m == 0:
+            raise InvalidInputError("standard form needs at least one independent constraint row")
         if m >= n:
             raise InvalidInputError(
                 f"standard form needs fewer independent rows than columns, got {m}x{n}"

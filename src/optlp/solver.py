@@ -147,7 +147,8 @@ def _exact_step(
     an exact landing the landed components are themselves roundoff. In the
     scaled variables of :mod:`optlp.direction`, D^-1 x_new = v - null and
     D s_new = v - row, where v = sqrt(x o s) and [row, null] come from v by
-    2m Householder reflections (Q^T, then Q). Each reflection is backward
+    2m Householder reflections (Q^T, then Q), applied by dormqr whichever
+    routine, dgeqrf or dgeqrt, made them. Each reflection is backward
     stable in the 2-norm (Higham, Accuracy and Stability of Numerical
     Algorithms, Lemma 19.3); with its constant taken as 1 it adds at most
     eps ||v|| to a component, and the rescaling by D and the subtraction

@@ -49,22 +49,24 @@ def mp_kkt_direction(a, x, s, sigma, dps=40):
     """
     with mpmath.workdps(dps):
         m, n = a.shape
-        amp = [[mpmath.mpf(float(v)) for v in row] for row in a]
-        xmp = [mpmath.mpf(float(v)) for v in x]
-        smp = [mpmath.mpf(float(v)) for v in s]
+        mpf = mpmath.mpf
+        amp = [[mpf(v) for v in row] for row in a.tolist()]
+        xmp = [mpf(v) for v in x.tolist()]
+        smp = [mpf(v) for v in s.tolist()]
         mu = mpmath.fsum(xi * si for xi, si in zip(xmp, smp)) / n
         r = [xi * si - sigma * mu for xi, si in zip(xmp, smp)]
+        # the rows of A X S^-1, and r / s, formed once for the dot products
+        axs = [[aik * xk / sk for aik, xk, sk in zip(row, xmp, smp)] for row in amp]
+        r_s = [rk / sk for rk, sk in zip(r, smp)]
         normal = mpmath.matrix(m, m)
         for i in range(m):
             for j in range(i, m):
-                normal[i, j] = normal[j, i] = mpmath.fsum(
-                    amp[i][k] * amp[j][k] * xmp[k] / smp[k] for k in range(n))
-        rhs = mpmath.matrix([-mpmath.fsum(amp[i][k] * r[k] / smp[k] for k in range(n))
-                             for i in range(m)])
-        dy = mpmath.lu_solve(normal, rhs)
-        ds = [-mpmath.fsum(amp[i][k] * dy[i] for i in range(m)) for k in range(n)]
+                normal[i, j] = normal[j, i] = mpmath.fdot(axs[i], amp[j])
+        rhs = mpmath.matrix([-mpmath.fdot(amp[i], r_s) for i in range(m)])
+        dy = list(mpmath.lu_solve(normal, rhs))
+        ds = [-mpmath.fdot(col, dy) for col in zip(*amp)]
         dx = [(r[k] - xmp[k] * ds[k]) / smp[k] for k in range(n)]
-    return tuple(np.array([float(v) for v in vec]) for vec in (dx, list(dy), ds))
+    return tuple(np.array([float(v) for v in vec]) for vec in (dx, dy, ds))
 
 
 def horner_with_bound(coeffs, x):

@@ -38,6 +38,33 @@ RHS
 ENDATA
 """
 
+# valid MPS, but no constraint row is left: only the objective, or one
+# E row with no coefficients (rank 0, so it is dropped)
+NO_ROW_LPS = {
+    "onlyobj": """\
+NAME  ONLYOBJ
+ROWS
+ N  COST
+COLUMNS
+    X1  COST  1.0
+    X2  COST  2.0
+RHS
+ENDATA
+""",
+    "emptyrow": """\
+NAME  EMPTYROW
+ROWS
+ N  COST
+ E  R1
+COLUMNS
+    X1  COST  1.0
+    X2  COST  2.0
+RHS
+    RHS  R1  0.0
+ENDATA
+""",
+}
+
 
 @pytest.fixture()
 def generated(tmp_path):
@@ -120,6 +147,19 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
         bad.write_bytes(content)
         assert main(["solve", str(bad)]) == EXIT_PARSE
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:constraint matrix:UserWarning")
+@pytest.mark.parametrize("stem", sorted(NO_ROW_LPS))
+def test_lp_with_no_constraint_row_is_a_clean_error(stem, tmp_path, capsys):
+    path = tmp_path / f"{stem}.mps"
+    path.write_text(NO_ROW_LPS[stem])
+    assert main(["solve", str(path)]) == EXIT_PARSE
+    assert "error: standard form needs at least one independent constraint row" in (
+        capsys.readouterr().err
+    )
+    assert main(["bench", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == f"{stem},failed,failed,"
 
 
 def test_solve_missing_file_exit_code(tmp_path, capsys):

@@ -8,6 +8,7 @@ from scipy.linalg import lapack
 
 from optlp.cli import read_start_file
 from optlp.direction import (
+    BLOCKED_QR_MIN_ROWS,
     assemble_direction,
     build_factors,
     decompose,
@@ -33,6 +34,16 @@ def problem():
     return generate_synthetic(14, 6, seed=77)
 
 
+@pytest.fixture(scope="module")
+def both_routes(problem):
+    """One problem on each side of BLOCKED_QR_MIN_ROWS: dgeqrf factors the
+    first, dgeqrt the second. The tests loop over them rather than being
+    parametrized, which keeps their names."""
+    blocked = generate_synthetic(160, 64, seed=77)
+    assert problem[0].m < BLOCKED_QR_MIN_ROWS <= blocked[0].m
+    return [problem, blocked]
+
+
 def reflector_bases(cache):
     """Orthonormal bases (range, null) of range(D A^T) and its complement:
     the columns of Q, formed by applying the cached reflectors to I."""
@@ -41,60 +52,76 @@ def reflector_bases(cache):
     return q[:, :m], q[:, m:]
 
 
-def test_build_factors_unit_scaling(problem):
-    lp, start = problem
-    cache = build_factors(lp, start)
-    assert np.allclose(cache.d, 1.0)
-    # Q1 spans range(A^T); Q2 Q2^T projects onto null(A)
-    q1, q2 = reflector_bases(cache)
-    proj = q1 @ (q1.T @ lp.a.T)
-    assert np.allclose(proj, lp.a.T, atol=1e-10)
-    complement = q2 @ q2.T
-    assert np.max(np.abs(lp.a @ complement)) <= 1e-10 * np.max(np.abs(lp.a))
-    z = scipy.linalg.null_space(lp.a)
-    assert z.shape[1] + lp.m == lp.n
-    assert np.max(np.abs(q1.T @ z)) <= 1e-12
-
-
-def test_build_factors_orthonormal_and_complementary(problem):
-    lp, start = problem
-    z = scipy.linalg.null_space(lp.a)
-    assert z.shape[1] + lp.m == lp.n
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        it = random_interior_iterate(lp, start, rng)
-        cache = build_factors(lp, it)
+def test_build_factors_unit_scaling(both_routes):
+    for lp, start in both_routes:
+        cache = build_factors(lp, start)
+        assert np.allclose(cache.d, 1.0)
+        # Q1 spans range(A^T); Q2 Q2^T projects onto null(A)
         q1, q2 = reflector_bases(cache)
-        assert np.max(np.abs(q1.T @ q1 - np.eye(lp.m))) <= 1e-12
-        assert np.max(np.abs(q2.T @ q2 - np.eye(lp.n - lp.m))) <= 1e-12
-        # an independent orthonormal basis of the scaled null space range(D^-1 Z)
-        zd, _ = np.linalg.qr(z / cache.d[:, None])
-        assert np.max(np.abs(q1.T @ zd)) <= 1e-12
-        combined = zd @ zd.T + q1 @ q1.T
-        assert np.max(np.abs(combined - np.eye(lp.n))) <= 1e-9
-        assert np.max(np.abs(zd @ zd.T - q2 @ q2.T)) <= 1e-9
-        dec = decompose(cache, it)
-        for u in (dec.p_x, dec.q_x):
-            assert np.max(np.abs(lp.a @ u)) <= 1e-10 * np.max(np.abs(lp.a)) * np.linalg.norm(u)
+        proj = q1 @ (q1.T @ lp.a.T)
+        assert np.allclose(proj, lp.a.T, atol=1e-10)
+        complement = q2 @ q2.T
+        assert np.max(np.abs(lp.a @ complement)) <= 1e-10 * np.max(np.abs(lp.a))
+        z = scipy.linalg.null_space(lp.a)
+        assert z.shape[1] + lp.m == lp.n
+        assert np.max(np.abs(q1.T @ z)) <= 1e-12
 
 
-def test_build_factors_ill_conditioning_error(problem):
-    lp, start = problem
-    x = start.x.copy()
-    x[3] = 1e20
-    it = Iterate(x, start.y, start.s)
-    with pytest.raises(IllConditionedError) as exc:
-        build_factors(lp, it)
-    assert exc.value.index == 3
+def test_build_factors_orthonormal_and_complementary(both_routes):
+    for lp, start in both_routes:
+        z = scipy.linalg.null_space(lp.a)
+        assert z.shape[1] + lp.m == lp.n
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            it = random_interior_iterate(lp, start, rng)
+            cache = build_factors(lp, it)
+            q1, q2 = reflector_bases(cache)
+            assert np.max(np.abs(q1.T @ q1 - np.eye(lp.m))) <= 1e-12
+            assert np.max(np.abs(q2.T @ q2 - np.eye(lp.n - lp.m))) <= 1e-12
+            # an independent orthonormal basis of the scaled null space range(D^-1 Z)
+            zd, _ = np.linalg.qr(z / cache.d[:, None])
+            assert np.max(np.abs(q1.T @ zd)) <= 1e-12
+            combined = zd @ zd.T + q1 @ q1.T
+            assert np.max(np.abs(combined - np.eye(lp.n))) <= 1e-9
+            assert np.max(np.abs(zd @ zd.T - q2 @ q2.T)) <= 1e-9
+            dec = decompose(cache, it)
+            for u in (dec.p_x, dec.q_x):
+                bound = 1e-10 * np.max(np.abs(lp.a)) * np.linalg.norm(u)
+                assert np.max(np.abs(lp.a @ u)) <= bound
 
 
-def test_build_factors_overflow_is_ill_conditioned(problem):
+def test_blocked_route_matches_dgeqrf(both_routes):
+    # dgeqrt leaves the same reflectors and R1 as dgeqrf; its tau are read
+    # off the diagonals of T's blocks
+    lp, start = both_routes[1]
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        cache = build_factors(lp, random_interior_iterate(lp, start, rng))
+        ref, ref_tau, _, info = lapack.dgeqrf(lp.a.T * cache.d[:, None])
+        assert info == 0
+        r1, ref_r1 = np.triu(cache.qr[:lp.m]), np.triu(ref[:lp.m])
+        assert np.linalg.norm(r1 - ref_r1) <= 1e-12 * np.linalg.norm(ref_r1)
+        assert np.linalg.norm(cache.tau - ref_tau) <= 1e-12 * np.linalg.norm(ref_tau)
+
+
+def test_build_factors_ill_conditioning_error(both_routes):
+    for lp, start in both_routes:
+        x = start.x.copy()
+        x[3] = 1e20
+        it = Iterate(x, start.y, start.s)
+        with pytest.raises(IllConditionedError) as exc:
+            build_factors(lp, it)
+        assert exc.value.index == 3
+
+
+def test_build_factors_overflow_is_ill_conditioned(both_routes):
     # x/s = 1e14 is inside the factorization range, but D A^T overflows
-    lp, start = problem
-    big = StandardLp(lp.a * 1e305, lp.b * 1e305, lp.c * 1e305)
-    it = Iterate(np.full(lp.n, 1e7), start.y, np.full(lp.n, 1e-7))
-    with np.errstate(over="ignore"), pytest.raises(IllConditionedError):
-        build_factors(big, it)
+    for lp, start in both_routes:
+        it = Iterate(np.full(lp.n, 1e7), start.y, np.full(lp.n, 1e-7))
+        with np.errstate(over="ignore"):
+            big = StandardLp(lp.a * 1e305, lp.b * 1e305, lp.c * 1e305)
+            with pytest.raises(IllConditionedError):
+                build_factors(big, it)
 
 
 def test_decompose_centered_point_merges_pq(problem):
@@ -220,6 +247,22 @@ def test_directions_match_extended_precision_kkt_near_the_optimum():
                           np.max(np.abs((ds - ref_ds) * it.x)))
                 worst = max(worst, err / it.mu)
     assert worst <= 1e-12
+
+
+def test_blocked_route_directions_match_extended_precision_kkt():
+    # the same oracle and bound on one problem factored by dgeqrt, at the
+    # last iterate of a tight solve (x_i/s_i spans ~1e-9..1e9 there)
+    lp, start = generate_synthetic(130, 64, 5)
+    assert lp.m >= BLOCKED_QR_MIN_ROWS
+    last = []
+    report = solve(lp, start, SolverConfig(tol=1e-12),
+                   observer=lambda k, it, dec, sp, pair: last.append((it, dec)))
+    assert report.status == STATUS_OPTIMAL
+    it, dec = last[-1]
+    dx, _, ds = assemble_direction(dec, 0.0)
+    ref_dx, _, ref_ds = mp_kkt_direction(lp.a, it.x, it.s, 0.0)
+    err = max(np.max(np.abs((dx - ref_dx) * it.s)), np.max(np.abs((ds - ref_ds) * it.x)))
+    assert err / it.mu <= 1e-12
 
 
 def test_gap_identity_inner_products(problem):

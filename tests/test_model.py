@@ -58,6 +58,14 @@ def test_standard_lp_rejects_square_and_bad_dims():
         StandardLp(np.ones((1, 3)), np.ones(2), np.ones(3))
 
 
+def test_standard_lp_rejects_no_constraint_row():
+    with pytest.raises(InvalidInputError, match="at least one"):
+        StandardLp(np.zeros((0, 3)), np.zeros(0), np.ones(3))
+    with pytest.warns(UserWarning, match="dropping 1"), \
+            pytest.raises(InvalidInputError, match="at least one"):
+        StandardLp(np.zeros((1, 3)), np.zeros(1), np.ones(3))
+
+
 def test_iterate_validation_and_cached_mu():
     rng = np.random.default_rng(4)
     for _ in range(50):

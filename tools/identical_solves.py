@@ -8,8 +8,15 @@ algorithms at theta 0.4 and 0.99 and tol 1e-8 and 1e-12, with max_iter
 ``IterationRecord``, the final x, y and s, the status and the objective.
 Floats enter by their exact bits. It also prints how many iterations took
 each selection origin (``IterationRecord.origin``), so a change that moves a
-selection from one candidate source to another shows by name. Run it from
-the root of a checkout, before and after a change, and compare the output:
+selection from one candidate source to another shows by name.
+
+Every problem of that set has fewer than 64 rows, so its factors come from
+dgeqrf (``direction.BLOCKED_QR_MIN_ROWS``). A second set, fingerprinted the
+same way after the first, covers the dgeqrt route: ``generate_synthetic``
+at (n, m) = (160, 64), (256, 100) and (384, 150) with seeds 1 and 2, with
+max_iter 2000, since the short step needs up to about 1,100 iterations at
+n = 384 and tol 1e-12. Run it from the root of a checkout, before and after
+a change, and compare the output:
 
     python tools/identical_solves.py
 """
@@ -29,7 +36,7 @@ from helpers import synthetic_family  # noqa: E402
 from optlp.cli import read_start_file  # noqa: E402
 from optlp.model import SolverConfig  # noqa: E402
 from optlp.mps import parse_mps, to_standard_form  # noqa: E402
-from optlp.solver import solve, solve_shortstep_baseline  # noqa: E402
+from optlp.solver import generate_synthetic, solve, solve_shortstep_baseline  # noqa: E402
 
 AFIRO = ROOT / "tests" / "data" / "netlib" / "afiro.mps"
 
@@ -38,6 +45,12 @@ def problems():
     lp, _ = to_standard_form(parse_mps(AFIRO.read_bytes()))
     yield lp, read_start_file(AFIRO.with_suffix(".start"), lp.n, lp.m)
     yield from synthetic_family(60, n_max=128)
+
+
+def blocked_problems():
+    for n, m in ((160, 64), (256, 100), (384, 150)):
+        for seed in (1, 2):
+            yield generate_synthetic(n, m, seed)
 
 
 def feed(digest, value) -> None:
@@ -49,16 +62,16 @@ def feed(digest, value) -> None:
         digest.update(str(value).encode())
 
 
-def main() -> int:
+def fingerprint(problem_set, max_iter: int) -> None:
     digest = hashlib.sha256()
     solves = iterations = 0
     statuses = Counter()
     origins = Counter()
-    for lp, start in problems():
+    for lp, start in problem_set:
         for runner in (solve, solve_shortstep_baseline):
             for theta in (0.4, 0.99):
                 for tol in (1e-8, 1e-12):
-                    report = runner(lp, start, SolverConfig(theta=theta, tol=tol, max_iter=1000))
+                    report = runner(lp, start, SolverConfig(theta=theta, tol=tol, max_iter=max_iter))
                     for rec in report.iterations:
                         for value in astuple(rec):
                             feed(digest, value)
@@ -74,7 +87,12 @@ def main() -> int:
     print(f"solves {solves}")
     print(f"iterations {iterations}")
     print("statuses " + " ".join(f"{k}={v}" for k, v in sorted(statuses.items())))
-    print(f"sha256 {digest.hexdigest()}")
+    print(f"sha256 {digest.hexdigest()}", flush=True)
+
+
+def main() -> int:
+    fingerprint(problems(), max_iter=1000)
+    fingerprint(blocked_problems(), max_iter=2000)
     return 0
 
 
