@@ -192,9 +192,13 @@ def cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = Path(args.out)
-    out.write_text(mps.format_mps(mps.from_standard_lp(lp)))
     start_path = out.with_suffix(".start")
-    write_start_file(start_path, start)
+    try:
+        out.write_text(mps.format_mps(mps.from_standard_lp(lp)))
+        write_start_file(start_path, start)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"wrote {out} and {start_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -249,10 +253,14 @@ def cmd_bench(args) -> int:
         (p for p in directory.iterdir() if p.suffix.lower() == ".mps"),
         key=lambda p: p.stem.lower(),
     )
-    rows = [_bench_one(p, runs) for p in paths]
-
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    # opened before the solves, so that a bad path fails at once
     try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        rows = [_bench_one(p, runs) for p in paths]
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["problem", "iters_optimal", "iters_baseline", "paper_iters"])
         started = 0

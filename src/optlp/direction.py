@@ -49,10 +49,6 @@ from .errors import IllConditionedError, InvalidInputError
 from .linalg import solve_upper_triangular
 from .model import Iterate, StandardLp
 
-# Beyond this ratio of x_i/s_i (either way) the scaled factorizations are
-# numerically meaningless; fail loudly instead of returning garbage.
-MAX_SCALING_RATIO = 1e16
-
 # From this many rows on, dgeqrt with nb-column blocks factors D A^T, and
 # below it dgeqrf: the measured crossover (module docstring)
 BLOCKED_QR_MIN_ROWS = 64
@@ -121,15 +117,13 @@ class StepPolynomials:
 def build_factors(lp: StandardLp, it: Iterate) -> FactorCache:
     """Factor the scaled row space D A^T at an iterate."""
     ratio = it.x / it.s
-    # two reductions clear the usual case; a NaN, which passes, or an
-    # offending ratio takes the index scan
-    if not (ratio.max() <= MAX_SCALING_RATIO and ratio.min() >= 1.0 / MAX_SCALING_RATIO):
-        bad = np.where((ratio > MAX_SCALING_RATIO) | (ratio < 1.0 / MAX_SCALING_RATIO))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise IllConditionedError(
-                f"x[{i}]/s[{i}] = {ratio[i]:.3e} exceeds the factorization range", index=i
-            )
+    # Householder QR stays accurate however widely d spreads (Cox & Higham
+    # 1998): only a ratio that overflowed to inf or underflowed to 0 fails
+    if not (0.0 < ratio.min() and ratio.max() < np.inf):
+        i = int(np.argmin((ratio > 0.0) & (ratio < np.inf)))
+        raise IllConditionedError(
+            f"x[{i}]/s[{i}] = {ratio[i]:.3e} is not a finite positive number", index=i
+        )
     d = np.sqrt(ratio)
     # D A^T comes out in Fortran order, which either routine factors in place
     dat = (lp.a * d).T

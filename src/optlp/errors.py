@@ -10,9 +10,12 @@ class InvalidInputError(OptLpError, ValueError):
 
 
 class IllConditionedError(OptLpError):
-    """An iterate produced scaling ratios too extreme to factor reliably.
+    """The direction at an iterate cannot be computed in floating point: a
+    ratio x_i/s_i overflowed to inf or underflowed to 0, the scaled QR
+    factors are not finite, or R1 is singular.
 
-    ``index`` is the offending component of the iterate.
+    ``index`` is the offending component (of the iterate, or of R1's
+    diagonal), or -1 when no single one is to blame.
     """
 
     def __init__(self, message: str, index: int):

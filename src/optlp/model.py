@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, rank_reveal
+from .linalg import DEFAULT_RANK_TOL, as_matrix, rank_reveal
 
 
 def norm(v: np.ndarray) -> float:
@@ -35,9 +35,13 @@ class StandardLp:
         minimize c.x  subject to  A x = b, x >= 0
 
     Construction coerces A to full row rank: numerically dependent rows are
-    dropped (with a warning) together with their right-hand sides. Requires
-    1 <= m < n after the reduction: an LP with no independent row left, such
-    as one whose only constraint has no coefficients, is rejected.
+    dropped (with a warning) together with their right-hand sides. A dropped
+    row must be consistent: its b has to match the combination of kept rows
+    that reproduces its coefficients, to DEFAULT_RANK_TOL relative to the
+    sum of the magnitudes of that combination's terms; otherwise A x = b has
+    no solution and the row is rejected by index. Requires 1 <= m < n after
+    the reduction: an LP with no independent row left, such as one whose
+    only constraint has no coefficients, is rejected.
     """
 
     def __init__(self, a, b, c, name: str = ""):
@@ -56,6 +60,20 @@ class StandardLp:
                 f"dropping {m - rank} dependent row(s)",
                 stacklevel=2,
             )
+            dropped = np.setdiff1d(np.arange(m), kept)
+            # w holds, per dropped row, the coefficients of the kept rows
+            # that reproduce it; full-rank LPs never get here
+            w = np.linalg.lstsq(a[kept].T, a[dropped].T, rcond=None)[0]
+            combo = w.T @ b[kept]
+            bad = np.flatnonzero(np.abs(b[dropped] - combo)
+                                 > DEFAULT_RANK_TOL * (np.abs(w.T) @ np.abs(b[kept])))
+            if bad.size:
+                j = int(bad[0])
+                raise InvalidInputError(
+                    f"constraint row {dropped[j]} of {name or 'LP'} is a combination of "
+                    f"the others, but its right-hand side {b[dropped[j]]:.17g} differs "
+                    f"from theirs, {combo[j]:.17g}: the constraints are inconsistent"
+                )
             a = np.ascontiguousarray(a[kept])
             b = b[kept]
             m = rank

@@ -65,6 +65,25 @@ ENDATA
 """,
 }
 
+# R2 is twice R1 on the left but not on the right: no feasible point
+INCONSISTENT_LP = """\
+NAME  INCONS
+ROWS
+ N  COST
+ E  R1
+ E  R2
+COLUMNS
+    X1  COST  1.0  R1  1.0
+    X1  R2  2.0
+    X2  COST  2.0  R1  1.0
+    X2  R2  2.0
+    X3  COST  0.5  R1  1.0
+    X3  R2  2.0
+RHS
+    RHS  R1  1.0  R2  3.0
+ENDATA
+"""
+
 
 @pytest.fixture()
 def generated(tmp_path):
@@ -139,11 +158,13 @@ def test_cli_runs_the_solver_modules_current_runner(generated, monkeypatch, algo
     assert len(calls) == 2
 
 
+@pytest.mark.filterwarnings("ignore:constraint matrix:UserWarning")
 def test_solve_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mps"
     for content, message in ((b"NAME  BAD\nGARBAGE\nENDATA\n", "line 2"),
                              (NOT_UTF8, "not UTF-8"),
-                             (SQUARE_LP.encode(), "fewer independent rows")):
+                             (SQUARE_LP.encode(), "fewer independent rows"),
+                             (INCONSISTENT_LP.encode(), "error: constraint row 0 of INCONS")):
         bad.write_bytes(content)
         assert main(["solve", str(bad)]) == EXIT_PARSE
         assert message in capsys.readouterr().err
@@ -160,6 +181,18 @@ def test_lp_with_no_constraint_row_is_a_clean_error(stem, tmp_path, capsys):
     )
     assert main(["bench", str(tmp_path)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1] == f"{stem},failed,failed,"
+
+
+def test_generate_into_missing_directory_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.mps"
+    assert main(["generate", "10", "4", "1", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_out_into_missing_directory_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert main(["bench", str(NETLIB), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_missing_file_exit_code(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import lapack
+from scipy.optimize import linprog
 
 from optlp.cli import read_start_file
 from optlp.direction import (
@@ -105,17 +106,23 @@ def test_blocked_route_matches_dgeqrf(both_routes):
 
 
 def test_build_factors_ill_conditioning_error(both_routes):
+    # a ratio x_i/s_i that overflows to inf or underflows to 0 breaks down by
+    # index; one far out but representable, 1e20, is factored
     for lp, start in both_routes:
+        for x3, s3 in ((1e300, 1e-300), (1e-170, 1e170)):
+            x, s = start.x.copy(), start.s.copy()
+            x[3], s[3] = x3, s3
+            with np.errstate(over="ignore"), pytest.raises(IllConditionedError) as exc:
+                build_factors(lp, Iterate(x, start.y, s))
+            assert exc.value.index == 3
         x = start.x.copy()
         x[3] = 1e20
-        it = Iterate(x, start.y, start.s)
-        with pytest.raises(IllConditionedError) as exc:
-            build_factors(lp, it)
-        assert exc.value.index == 3
+        cache = build_factors(lp, Iterate(x, start.y, start.s))
+        assert np.isfinite(cache.qr).all() and np.isfinite(cache.tau).all()
 
 
 def test_build_factors_overflow_is_ill_conditioned(both_routes):
-    # x/s = 1e14 is inside the factorization range, but D A^T overflows
+    # x/s = 1e14 is finite and positive, but D A^T overflows
     for lp, start in both_routes:
         it = Iterate(np.full(lp.n, 1e7), start.y, np.full(lp.n, 1e-7))
         with np.errstate(over="ignore"):
@@ -263,6 +270,29 @@ def test_blocked_route_directions_match_extended_precision_kkt():
     ref_dx, _, ref_ds = mp_kkt_direction(lp.a, it.x, it.s, 0.0)
     err = max(np.max(np.abs((dx - ref_dx) * it.s)), np.max(np.abs((ds - ref_ds) * it.x)))
     assert err / it.mu <= 1e-12
+
+
+def test_directions_match_extended_precision_kkt_beyond_1e16():
+    # AFIRO at theta 0.4 and tol 1e-15 ends with x_i/s_i spread over
+    # ~1e-13..3e17, where Householder QR of D A^T still gives accurate
+    # directions; 80 digits because the spread is wider than 40 cover
+    lp, _ = to_standard_form(parse_mps((NETLIB / "afiro.mps").read_text()))
+    start = read_start_file(NETLIB / "afiro.start", lp.n, lp.m)
+    last = deque(maxlen=3)
+    report = solve(lp, start, SolverConfig(theta=0.4, tol=1e-15),
+                   observer=lambda k, it, dec, sp, pair: last.append((it, dec)))
+    assert report.status == STATUS_OPTIMAL
+    oracle = linprog(lp.c, A_eq=lp.a, b_eq=lp.b, bounds=(0, None), method="highs")
+    assert oracle.status == 0
+    assert abs(report.objective - oracle.fun) <= 1e-6 * abs(oracle.fun)
+    it, _ = last[-1]
+    assert np.max(it.x / it.s) > 1e16
+    for it, dec in last:
+        for sigma in (0.0, 0.5):
+            dx, _, ds = assemble_direction(dec, sigma)
+            ref_dx, _, ref_ds = mp_kkt_direction(lp.a, it.x, it.s, sigma, dps=80)
+            err = max(np.max(np.abs((dx - ref_dx) * it.s)), np.max(np.abs((ds - ref_ds) * it.x)))
+            assert err / it.mu <= 1e-12
 
 
 def test_gap_identity_inner_products(problem):

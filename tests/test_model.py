@@ -51,6 +51,20 @@ def test_standard_lp_drops_dependent_rows():
     assert lp.a.shape == (2, 6)
 
 
+def test_standard_lp_checks_dropped_rows_are_consistent():
+    # the kept row is (2, 2, 2); the dropped (1, 1, 1) must carry half its b,
+    # to roundoff relative to the size of b
+    a = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    for b in ((1.0, 2.0), (1e6, 2e6)):
+        with pytest.warns(UserWarning, match="dropping 1"):
+            lp = StandardLp(a, np.array(b), np.ones(3))
+        assert lp.m == 1
+    for b in ((1.0, 3.0), (1e6, 2e6 + 1.0)):
+        with pytest.warns(UserWarning, match="dropping 1"), \
+                pytest.raises(InvalidInputError, match="row 0 .* inconsistent"):
+            StandardLp(a, np.array(b), np.ones(3))
+
+
 def test_standard_lp_rejects_square_and_bad_dims():
     with pytest.raises(InvalidInputError):
         StandardLp(np.eye(3), np.ones(3), np.ones(3))

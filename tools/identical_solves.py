@@ -15,8 +15,12 @@ dgeqrf (``direction.BLOCKED_QR_MIN_ROWS``). A second set, fingerprinted the
 same way after the first, covers the dgeqrt route: ``generate_synthetic``
 at (n, m) = (160, 64), (256, 100) and (384, 150) with seeds 1 and 2, with
 max_iter 2000, since the short step needs up to about 1,100 iterations at
-n = 384 and tol 1e-12. Run it from the root of a checkout, before and after
-a change, and compare the output:
+n = 384 and tol 1e-12. A third set, printed last, takes the tolerances to
+the edge of float64: the 20 problems of ``synthetic_family(20, n_max=24)``
+at tol 1e-14 and 1e-16, otherwise as the first set. There the last iterates
+spread x_i/s_i beyond 1e16, so the set shows how many solves break down
+(``statuses``) as well as whether they changed. Run it from the root of a
+checkout, before and after a change, and compare the output:
 
     python tools/identical_solves.py
 """
@@ -62,7 +66,7 @@ def feed(digest, value) -> None:
         digest.update(str(value).encode())
 
 
-def fingerprint(problem_set, max_iter: int) -> None:
+def fingerprint(problem_set, max_iter: int, tols=(1e-8, 1e-12)) -> None:
     digest = hashlib.sha256()
     solves = iterations = 0
     statuses = Counter()
@@ -70,7 +74,7 @@ def fingerprint(problem_set, max_iter: int) -> None:
     for lp, start in problem_set:
         for runner in (solve, solve_shortstep_baseline):
             for theta in (0.4, 0.99):
-                for tol in (1e-8, 1e-12):
+                for tol in tols:
                     report = runner(lp, start, SolverConfig(theta=theta, tol=tol, max_iter=max_iter))
                     for rec in report.iterations:
                         for value in astuple(rec):
@@ -93,6 +97,7 @@ def fingerprint(problem_set, max_iter: int) -> None:
 def main() -> int:
     fingerprint(problems(), max_iter=1000)
     fingerprint(blocked_problems(), max_iter=2000)
+    fingerprint(synthetic_family(20, n_max=24), max_iter=1000, tols=(1e-14, 1e-16))
     return 0
 
 
