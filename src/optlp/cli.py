@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from .solver import (
     STATUS_MAX_ITER,
     STATUS_NO_START,
     STATUS_OPTIMAL,
-    IterationRecord,
     SolveReport,
     generate_synthetic,
     heuristic_start,
@@ -73,6 +72,11 @@ ALGORITHMS = {
 }
 
 
+# --max-iter of `solve` and `bench`: enough for the short step, which needs
+# 290 iterations on AFIRO
+DEFAULT_MAX_ITER = 1000
+
+
 def _setup_logging() -> None:
     level_name = os.environ.get("OPTLP_LOG", "warning").lower()
     level = {
@@ -106,18 +110,15 @@ def read_start_file(path, n: int, m: int) -> Iterate:
     return Iterate(vals[:n], vals[n:n + m], vals[n + m:])
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
-
-
 def report_to_dict(report: SolveReport, problem: str) -> dict:
     return {
         "problem": problem,
         "status": report.status,
         "objective": report.objective,
         "mu": report.final.mu,
-        # what asdict gives, without its deep copy of every field
-        "iterations": [{name: getattr(rec, name) for name in _RECORD_FIELDS}
-                       for rec in report.iterations],
+        # what asdict gives, without its deep copy of every field: a record's
+        # __dict__ holds its fields, in order
+        "iterations": [vars(rec).copy() for rec in report.iterations],
         "final": {
             "x": report.final.x.tolist(),
             "y": report.final.y.tolist(),
@@ -145,7 +146,15 @@ def _print_text_report(report: SolveReport, problem: str, out) -> None:
 
 
 def _load_problem(path) -> StandardLp:
-    lp, _ = mps.to_standard_form(mps.parse_mps(Path(path).read_bytes()))
+    # a notice raised on the way, such as a dropped dependent row, is printed
+    # like the other notices, without the warning machinery's source line
+    with warnings.catch_warnings(record=True) as notices:
+        warnings.simplefilter("always")
+        try:
+            lp, _ = mps.to_standard_form(mps.parse_mps(Path(path).read_bytes()))
+        finally:
+            for notice in notices:
+                print(f"warning: {notice.message}", file=sys.stderr)
     if not lp.name:
         lp.name = Path(path).stem
     return lp
@@ -176,8 +185,9 @@ def cmd_solve(args) -> int:
         return EXIT_NO_START
     report = getattr(solver, runner_name)(lp, start, cfg)
     if args.output == "json":
-        # one string and one write: json.dump writes every token separately
-        print(json.dumps(report_to_dict(report, lp.name), indent=2))
+        # one string and one write: json.dump writes every token separately;
+        # without indent, json's C encoder makes the string
+        print(json.dumps(report_to_dict(report, lp.name)))
     else:
         _print_text_report(report, lp.name, sys.stdout)
     if report.status != STATUS_OPTIMAL:
@@ -293,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--theta", type=float, default=None,
                          help="neighborhood radius (default 0.99; 0.4 for shortstep)")
     p_solve.add_argument("--tol", type=float, default=1e-8)
-    p_solve.add_argument("--max-iter", type=int, default=200)
+    p_solve.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_solve.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="optimal")
     p_solve.add_argument("--start-file", default=None,
                          help="sidecar with x, y, s (whitespace-separated)")
@@ -310,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="benchmark a directory of MPS files")
     p_bench.add_argument("dir")
     p_bench.add_argument("--tol", type=float, default=1e-8)
-    p_bench.add_argument("--max-iter", type=int, default=1000)
+    p_bench.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_bench.set_defaults(func=cmd_bench)
     return parser

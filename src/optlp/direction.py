@@ -35,7 +35,13 @@ within 3% of each other at 164 x 64, 254 against 194 us at 205 x 80,
 dgeqrt leaves the same reflectors and R1 as dgeqrf, and instead of tau the
 upper-triangular factors T of its block reflectors, whose diagonals are
 the tau. So both routes end in the same (qr, tau) and the same dormqr
-applications.
+applications. The dual direction comes from R1 y = c1, solved by dtrtrs on
+the leading m x m block of the factor where it lies, without a copy.
+
+The x and s parts of the direction are held stacked, as x and s are in
+:class:`~optlp.model.Iterate`: p = (p_x; p_s) and q = (q_x; q_s) are the two
+columns of one Fortran-order (2n, 2) array, and one pass over 2n entries
+gives (dx; ds) = p - sigma q, whose halves are dx and ds.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import IllConditionedError, InvalidInputError
-from .linalg import solve_upper_triangular
 from .model import Iterate, StandardLp
 
 # From this many rows on, dgeqrt with nb-column blocks factors D A^T, and
@@ -73,20 +78,46 @@ class FactorCache:
     d: np.ndarray
 
 
-@dataclass(frozen=True)
 class DirectionDecomposition:
     """sigma-independent pieces of the Newton direction.
 
     dx(sigma) = p_x - sigma q_x, ds(sigma) = p_s - sigma q_s,
     dy(sigma) = -(y_p - sigma y_q).
+
+    p = (p_x; p_s) and q = (q_x; q_s) are held as stacked 2n vectors, and
+    p_x, p_s, q_x and q_s are their halves (views). Built from the six
+    parts, it copies them; :meth:`stacked` takes p and q as they are.
     """
 
-    p_x: np.ndarray
-    q_x: np.ndarray
-    p_s: np.ndarray
-    q_s: np.ndarray
-    y_p: np.ndarray
-    y_q: np.ndarray
+    __slots__ = ("p", "q", "y_p", "y_q")
+
+    def __init__(self, p_x, q_x, p_s, q_s, y_p, y_q):
+        self.p = np.concatenate((p_x, p_s))
+        self.q = np.concatenate((q_x, q_s))
+        self.y_p, self.y_q = y_p, y_q
+
+    @classmethod
+    def stacked(cls, p: np.ndarray, q: np.ndarray, y_p: np.ndarray,
+                y_q: np.ndarray) -> "DirectionDecomposition":
+        dec = cls.__new__(cls)
+        dec.p, dec.q, dec.y_p, dec.y_q = p, q, y_p, y_q
+        return dec
+
+    @property
+    def p_x(self) -> np.ndarray:
+        return self.p[:self.p.shape[0] // 2]
+
+    @property
+    def p_s(self) -> np.ndarray:
+        return self.p[self.p.shape[0] // 2:]
+
+    @property
+    def q_x(self) -> np.ndarray:
+        return self.q[:self.q.shape[0] // 2]
+
+    @property
+    def q_s(self) -> np.ndarray:
+        return self.q[self.q.shape[0] // 2:]
 
 
 @dataclass(frozen=True)
@@ -153,31 +184,38 @@ def decompose(cache: FactorCache, it: Iterate) -> DirectionDecomposition:
     parts[:m, :2] = c[:m]
     parts[m:, 2:] = c[m:]
     parts, _, _ = lapack.dormqr("L", "N", qr, tau, parts, 4, overwrite_c=1)
-    row, null = parts[:, :2], parts[:, 2:]
-    p_x, q_x = d * null[:, 0], d * null[:, 1]
-    p_s, q_s = row[:, 0] / d, row[:, 1] / d
-    y = solve_upper_triangular(qr[:m], c[:m])  # reads only R1
-    y_p, y_q = y[:, 0], y[:, 1]
-    return DirectionDecomposition(p_x=p_x, q_x=q_x, p_s=p_s, q_s=q_s, y_p=y_p, y_q=y_q)
+    # pq = [p, q]: D (null part) over D^-1 (row part)
+    pq = np.empty((2 * n, 2), order="F")
+    np.multiply(parts[:, 2:], d[:, None], out=pq[:n])
+    np.divide(parts[:, :2], d[:, None], out=pq[n:])
+    # R1 y = c1, with R1 read in place: the factor was checked finite
+    c1 = c[:m]
+    if not np.isfinite(c1).all():
+        raise IllConditionedError("projected right-hand side is not finite", index=-1)
+    y, info = lapack.dtrtrs(qr, c1)
+    if info > 0:
+        raise IllConditionedError(f"R1 is singular at diagonal {info - 1}", index=info - 1)
+    return DirectionDecomposition.stacked(pq[:, 0], pq[:, 1], y[:, 0], y[:, 1])
 
 
 def assemble_direction(
     dec: DirectionDecomposition, sigma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dx, dy, ds) for a concrete centering parameter sigma in [0, 1]."""
+    """(dx, dy, ds) for a concrete centering parameter sigma in [0, 1]; dx
+    and ds are the halves of one stacked vector (dx; ds)."""
     if not 0.0 <= sigma <= 1.0:
         raise InvalidInputError(f"sigma must be in [0,1], got {sigma}")
-    dx = dec.p_x - sigma * dec.q_x
-    ds = dec.p_s - sigma * dec.q_s
-    dy = -(dec.y_p - sigma * dec.y_q)
-    return dx, dy, ds
+    dxs = dec.p - sigma * dec.q
+    n = dxs.shape[0] // 2
+    return dxs[:n], -(dec.y_p - sigma * dec.y_q), dxs[n:]
 
 
 def step_polynomials(dec: DirectionDecomposition, theta: float, mu: float) -> StepPolynomials:
     """Quartic coefficients of ||dx(sigma) o ds(sigma)||^2."""
-    p = dec.p_x * dec.p_s
-    q = dec.q_x * dec.p_s + dec.p_x * dec.q_s
-    r = dec.q_x * dec.q_s
+    p_x, p_s, q_x, q_s = dec.p_x, dec.p_s, dec.q_x, dec.q_s
+    p = p_x * p_s
+    q = q_x * p_s + p_x * q_s
+    r = q_x * q_s
     return StepPolynomials(
         a0=float(p @ p),
         a1=2.0 * float(q @ p),

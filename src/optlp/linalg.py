@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: rank detection and triangular solves.
+"""Dense linear-algebra kernels: matrix coercion and rank detection.
 
 Matrices are plain 2-d float64 ``numpy`` arrays in row-major (C) layout.
 """
@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
 
-from .errors import IllConditionedError, InvalidInputError
+from .errors import InvalidInputError
 
 DEFAULT_RANK_TOL = 1e-12
 
@@ -41,24 +40,3 @@ def rank_reveal(a) -> tuple[int, list[int]]:
     rank = int(np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0]))
     kept = sorted(int(i) for i in pivots[:rank])
     return rank, kept
-
-
-def solve_upper_triangular(r, b) -> np.ndarray:
-    """Solve R x = b for upper-triangular R; the strict lower triangle of
-    ``r`` is never read. Calls LAPACK's dtrtrs as ``scipy.linalg.
-    solve_triangular`` does, without its per-call validation; a zero on the
-    diagonal or a non-finite operand raises :class:`IllConditionedError`.
-    Operands not in Fortran order, such as R inside Householder factors,
-    are copied to it on the way in."""
-    r, b = np.asarray(r), np.asarray(b)
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or b.ndim not in (1, 2) or b.shape[0] != r.shape[0]:
-        raise InvalidInputError(f"shapes of R {r.shape} and b {b.shape} do not match")
-    if not (np.isfinite(r).all() and np.isfinite(b).all()):
-        raise IllConditionedError("triangular system is not finite", index=-1)
-    x, info = lapack.dtrtrs(r, b)
-    if info > 0:
-        raise IllConditionedError(f"triangular factor is singular at diagonal {info - 1}",
-                                  index=info - 1)
-    if info < 0:
-        raise InvalidInputError(f"illegal value in argument {-info} of dtrtrs")
-    return x

@@ -107,13 +107,17 @@ class StandardLp:
 
 
 class Iterate:
-    """A strictly positive primal-dual point (x, y, s) with its cached gap.
+    """A strictly positive primal-dual point (x, y, s) with its cached gap
+    mu = x.s/n and neighborhood distance ||x o s - mu e||.
 
-    ``mu`` is fixed at construction as x.s/n; all updates go through new
-    constructions so the cache can never drift from the vectors.
+    x and s are held stacked in one 2n vector ``xs`` = (x; s), of which
+    ``x`` and ``s`` are the halves (views), so that a step updates both in
+    one pass. Construction copies x, y and s, and the cached values are
+    fixed at construction: all updates go through new constructions, so
+    the cache can never drift from the vectors.
     """
 
-    __slots__ = ("x", "y", "s", "mu")
+    __slots__ = ("xs", "x", "y", "s", "mu", "neighborhood_dist")
 
     def __init__(self, x, y, s):
         x = _as_vector(x, "x")
@@ -127,19 +131,25 @@ class Iterate:
             raise InvalidInputError("x must be strictly positive")
         if np.min(s) <= 0.0:
             raise InvalidInputError("s must be strictly positive")
-        self.x = x
-        self.y = y
-        self.s = s
-        self.mu = float(x @ s) / x.shape[0]
+        mu = float(x @ s) / x.shape[0]
+        # x o s overflows only where mu does
+        dist = norm(x * s - mu) if mu < math.inf else math.inf
+        self._set(np.concatenate((x, s)), y.copy(), mu, dist)
 
     @classmethod
-    def unchecked(cls, x: np.ndarray, y: np.ndarray, s: np.ndarray, mu: float) -> "Iterate":
+    def unchecked(cls, xs: np.ndarray, y: np.ndarray, mu: float, dist: float) -> "Iterate":
         """A point the solver made and vetted (finite, x and s > 0, or >= 0
-        on the exact step's boundary point), with its gap mu; nothing is
-        coerced or checked again. Points from outside use ``__init__``."""
+        on the exact step's boundary point), from its stacked (x; s), with
+        its gap mu and neighborhood distance; nothing is coerced, copied or
+        checked again. Points from outside use ``__init__``."""
         it = cls.__new__(cls)
-        it.x, it.y, it.s, it.mu = x, y, s, mu
+        it._set(xs, y, mu, dist)
         return it
+
+    def _set(self, xs, y, mu, dist) -> None:
+        n = xs.shape[0] // 2
+        self.xs, self.x, self.s = xs, xs[:n], xs[n:]
+        self.y, self.mu, self.neighborhood_dist = y, mu, dist
 
     def __repr__(self) -> str:
         return f"Iterate(n={self.x.shape[0]}, mu={self.mu:.3e})"

@@ -23,7 +23,6 @@ from .model import (
     Iterate,
     SolverConfig,
     StandardLp,
-    neighborhood_distance,
     norm,
     residuals,
     stopping_criterion,
@@ -82,8 +81,7 @@ def _make_record(lp: StandardLp, k: int, it: Iterate, sigma: float, alpha: float
         mu=it.mu,
         sigma=sigma,
         alpha=alpha,
-        # from the cached mu, so that it is defined on boundary points too
-        neighborhood_dist=norm(it.x * it.s - it.mu),
+        neighborhood_dist=it.neighborhood_dist,
         primal_res=pr,
         dual_res=dr,
         origin=origin,
@@ -97,7 +95,7 @@ def _start_rejected(lp: StandardLp, start: Iterate, theta: float) -> str | None:
         return f"start residuals ({pr:.2e}, {dr:.2e}) exceed {START_RESIDUAL_TOL:.0e}"
     if not math.isfinite(start.mu):
         return f"start gap mu = {start.mu} is not finite"
-    dist = neighborhood_distance(start.x, start.s)
+    dist = start.neighborhood_dist
     if not dist <= theta * start.mu * (1.0 + 1e-12):
         return f"start lies outside the theta={theta} neighborhood ({dist:.3e} > {theta * start.mu:.3e})"
     return None
@@ -117,20 +115,23 @@ def safeguarded_step(
     Returns the accepted iterate and the alpha actually applied.
     """
     dx, dy, ds = direction
+    dxs = np.concatenate((dx, ds))
+    n = it.x.shape[0]
     alpha = pair.alpha
     slack = cfg.theta * (1.0 + NEIGHBORHOOD_SLACK)
     for _ in range(SAFEGUARD_BACKTRACKS + 1):
-        x = it.x - alpha * dx
-        s = it.s - alpha * ds
-        if (x == it.x).all() and (s == it.s).all():
+        xs = it.xs - alpha * dxs
+        if (xs == it.xs).all():
             raise NoFeasibleStepError("step update fell below machine precision")
-        if x.min() > 0.0 and s.min() > 0.0:
-            mu = float(x @ s) / x.shape[0]
-            if mu > 0.0 and norm(x * s - mu) <= slack * mu:
+        if xs.min() > 0.0:
+            x, s = xs[:n], xs[n:]
+            mu = float(x @ s) / n
+            dist = norm(x * s - mu)
+            if mu > 0.0 and dist <= slack * mu:
                 y = it.y - alpha * dy
                 if not np.isfinite(y).all():
                     raise NoFeasibleStepError("dual update is not finite")
-                return Iterate.unchecked(x, y, s, mu), alpha
+                return Iterate.unchecked(xs, y, mu, dist), alpha
         alpha *= 0.5
     raise NoFeasibleStepError(
         f"no acceptable step within {SAFEGUARD_BACKTRACKS} halvings of alpha"
@@ -158,15 +159,18 @@ def _exact_step(
     is not finite; the caller then takes the safeguarded step instead.
     """
     dx, dy, ds = direction
-    x, y, s = it.x - dx, it.y - dy, it.s - ds
-    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(s).all()):
+    xs, y = it.xs - np.concatenate((dx, ds)), it.y - dy
+    if not (np.isfinite(xs).all() and np.isfinite(y).all()):
         return None
+    n = it.x.shape[0]
+    x, s = xs[:n], xs[n:]
     d = np.sqrt(it.x / it.s)
     bound = 2 * (it.y.size + 1) * np.finfo(float).eps * math.sqrt(float(it.x @ it.s))
     if np.any(x < -bound * d) or np.any(s < -bound / d):
         return None
-    x, s = np.maximum(x, 0.0), np.maximum(s, 0.0)
-    return Iterate.unchecked(x, y, s, float(x @ s) / x.shape[0])
+    np.maximum(xs, 0.0, out=xs)
+    mu = float(x @ s) / n
+    return Iterate.unchecked(xs, y, mu, norm(x * s - mu))
 
 
 def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,

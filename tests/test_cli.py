@@ -65,6 +65,26 @@ ENDATA
 """,
 }
 
+# R2 = 2 R1 with a consistent right-hand side: R2 is dropped, and the
+# heuristic start x = e, y = 1, s = (0.5, 1, 1.5) is in the neighborhood
+DEPENDENT_LP = """\
+NAME  DEP
+ROWS
+ N  COST
+ E  R1
+ E  R2
+COLUMNS
+    X1  COST  1.5  R1  1.0
+    X1  R2  2.0
+    X2  COST  2.0  R1  1.0
+    X2  R2  2.0
+    X3  COST  2.5  R1  1.0
+    X3  R2  2.0
+RHS
+    RHS  R1  3.0  R2  6.0
+ENDATA
+"""
+
 # R2 is twice R1 on the left but not on the right: no feasible point
 INCONSISTENT_LP = """\
 NAME  INCONS
@@ -158,7 +178,6 @@ def test_cli_runs_the_solver_modules_current_runner(generated, monkeypatch, algo
     assert len(calls) == 2
 
 
-@pytest.mark.filterwarnings("ignore:constraint matrix:UserWarning")
 def test_solve_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mps"
     for content, message in ((b"NAME  BAD\nGARBAGE\nENDATA\n", "line 2"),
@@ -170,7 +189,6 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:constraint matrix:UserWarning")
 @pytest.mark.parametrize("stem", sorted(NO_ROW_LPS))
 def test_lp_with_no_constraint_row_is_a_clean_error(stem, tmp_path, capsys):
     path = tmp_path / f"{stem}.mps"
@@ -181,6 +199,17 @@ def test_lp_with_no_constraint_row_is_a_clean_error(stem, tmp_path, capsys):
     )
     assert main(["bench", str(tmp_path)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1] == f"{stem},failed,failed,"
+
+
+def test_dropped_row_notice_is_a_warning_line(tmp_path, capsys):
+    path = tmp_path / "dep.mps"
+    path.write_text(DEPENDENT_LP)
+    notice = "warning: constraint matrix of DEP has rank 1 < 2; dropping 1 dependent row(s)"
+    for argv in (["solve", str(path)], ["bench", str(tmp_path)]):
+        assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err
+        assert notice in err.splitlines()
+        assert "UserWarning" not in err
 
 
 def test_generate_into_missing_directory_is_a_clean_error(tmp_path, capsys):
@@ -267,7 +296,7 @@ def test_report_to_dict_keeps_the_asdict_format():
         assert list(got) == list(want)
         for key in want:
             assert type(got[key]) is type(want[key]) and got[key] == want[key]
-    back = json.loads(json.dumps(payload, indent=2))
+    back = json.loads(json.dumps(payload))
     for key in ("x", "y", "s"):
         vec = getattr(report.final, key)
         assert np.array(back["final"][key]).tobytes() == vec.tobytes()
@@ -276,7 +305,9 @@ def test_report_to_dict_keeps_the_asdict_format():
 def test_json_report_round_trips_exactly(generated, capsys):
     out, sidecar = generated
     assert main(["solve", str(out), "--start-file", str(sidecar), "--output", "json"]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    assert len(text.splitlines()) == 1  # one compact line
+    payload = json.loads(text)
 
     from optlp.mps import parse_mps, to_standard_form
     from optlp.model import SolverConfig
@@ -360,6 +391,15 @@ def test_bench_synthetic_instance_row(tmp_path, capsys):
     assert fields[0] == "synth"
     assert int(fields[1]) >= 1
     assert fields[3] == ""  # paper_iters absent for non-reference problems
+
+
+def test_solve_default_max_iter_covers_shortstep_on_afiro(capsys):
+    # the short step takes 290 iterations on AFIRO, more than the library's
+    # default max_iter of 200
+    code = main(["solve", str(NETLIB / "afiro.mps"), "--start-file", str(NETLIB / "afiro.start"),
+                 "--algorithm", "shortstep"])
+    assert code == EXIT_OK
+    assert "iterations       290" in capsys.readouterr().out.splitlines()
 
 
 def test_bench_default_max_iter_covers_shortstep_on_afiro(capsys):

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from scipy.optimize import linprog
 from optlp.cli import read_start_file
 from optlp.direction import (
     BLOCKED_QR_MIN_ROWS,
+    FactorCache,
     assemble_direction,
     build_factors,
     decompose,
@@ -137,6 +139,22 @@ def test_decompose_centered_point_merges_pq(problem):
     dec = decompose(build_factors(lp, start), start)
     assert np.allclose(dec.q_x, dec.p_x, atol=1e-12)
     assert np.allclose(dec.q_s, dec.p_s, atol=1e-12)
+
+
+def test_decompose_triangular_failures_are_package_errors(both_routes):
+    # R1 is read inside the factor, under which the reflectors lie: a zero
+    # on its diagonal is found by index, and a non-finite right-hand side
+    # (here from a gap that overflowed) before the solve
+    for lp, start in both_routes:
+        cache = build_factors(lp, start)
+        singular = cache.qr.copy(order="F")
+        singular[2, 2] = 0.0
+        with pytest.raises(IllConditionedError) as info:
+            decompose(FactorCache(qr=singular, tau=cache.tau, d=cache.d), start)
+        assert info.value.index == 2
+        overflowed = Iterate.unchecked(start.xs, start.y, math.inf, math.inf)
+        with pytest.raises(IllConditionedError):
+            decompose(cache, overflowed)
 
 
 def test_decompose_two_variable_hand_case():

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from optlp.errors import IllConditionedError, InvalidInputError
-from optlp.linalg import rank_reveal, solve_upper_triangular
+from optlp.linalg import rank_reveal
 
 
 def test_rank_reveal_duplicated_row():
@@ -41,30 +39,3 @@ def test_rank_reveal_row_permutation_invariant():
 def test_rank_reveal_zero_matrix():
     rank, kept = rank_reveal(np.zeros((2, 3)))
     assert rank == 0 and kept == []
-
-
-def test_solve_upper_triangular_ignores_the_lower_triangle():
-    rng = np.random.default_rng(11)
-    r = np.triu(rng.normal(size=(4, 4))) + 4.0 * np.eye(4)
-    b = rng.normal(size=4)
-    assert np.allclose(r @ solve_upper_triangular(r, b), b)
-    # below the diagonal may sit anything, e.g. Householder reflectors
-    stored = r + np.tril(rng.normal(size=(4, 4)), -1)
-    assert np.array_equal(solve_upper_triangular(stored, b), solve_upper_triangular(r, b))
-
-
-def test_solve_upper_triangular_failures_are_package_errors():
-    r = np.triu(np.ones((3, 3))) + np.eye(3)
-    b = np.ones(3)
-    singular = r.copy()
-    singular[1, 1] = 0.0
-    with pytest.raises(IllConditionedError) as info:
-        solve_upper_triangular(singular, b)
-    assert info.value.index == 1
-    for bad_r, bad_b in ((r, np.array([1.0, np.nan, 1.0])), (np.where(r == 2.0, np.inf, r), b)):
-        with pytest.raises(IllConditionedError):
-            solve_upper_triangular(bad_r, bad_b)
-    # shapes that dtrtrs would not reject on its own
-    for bad_r, bad_b in ((r, np.ones(4)), (r[:2], b), (r, np.ones((3, 1, 1)))):
-        with pytest.raises(InvalidInputError):
-            solve_upper_triangular(bad_r, bad_b)

@@ -39,6 +39,22 @@ def test_neighborhood_zero_iff_constant_product():
         assert neighborhood_distance(x, s_centered) <= 1e-12
 
 
+def test_iterate_owns_its_vectors():
+    x, y, s = np.ones(3), np.zeros(1), np.ones(3)
+    it = Iterate(x, y, s)
+    x[0], y[0], s[1] = 100.0, 5.0, 7.0
+    assert it.x[0] == 1.0 and it.y[0] == 0.0 and it.s[1] == 1.0
+    assert it.mu == float(it.x @ it.s) / 3 == 1.0
+
+
+def test_iterate_stacks_x_and_s():
+    it = Iterate([1.0, 2.0], [0.5], [3.0, 1.0])
+    assert it.xs.tolist() == [1.0, 2.0, 3.0, 1.0]
+    assert np.shares_memory(it.x, it.xs) and np.shares_memory(it.s, it.xs)
+    assert it.x.tolist() == [1.0, 2.0] and it.s.tolist() == [3.0, 1.0]
+    assert it.neighborhood_dist == neighborhood_distance(it.x, it.s) == np.sqrt(0.5)
+
+
 def test_standard_lp_drops_dependent_rows():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(3, 6))

@@ -19,13 +19,21 @@ n = 384 and tol 1e-12. A third set, printed last, takes the tolerances to
 the edge of float64: the 20 problems of ``synthetic_family(20, n_max=24)``
 at tol 1e-14 and 1e-16, otherwise as the first set. There the last iterates
 spread x_i/s_i beyond 1e16, so the set shows how many solves break down
-(``statuses``) as well as whether they changed. Run it from the root of a
-checkout, before and after a change, and compare the output:
+(``statuses``) as well as whether they changed. The last line covers the
+command line: AFIRO from its sidecar, solved by both algorithms through
+``optlp solve --output json`` with ``--max-iter 1000``; the SHA-256 takes
+every value of the parsed reports in order, floats by their bits, so it
+shows whether a change to the report's encoding moved any value. Run it
+from the root of a checkout, before and after a change, and compare the
+output:
 
     python tools/identical_solves.py
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import struct
 import sys
 from collections import Counter
@@ -37,6 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from helpers import synthetic_family  # noqa: E402
 
+from optlp import cli  # noqa: E402
 from optlp.cli import read_start_file  # noqa: E402
 from optlp.model import SolverConfig  # noqa: E402
 from optlp.mps import parse_mps, to_standard_form  # noqa: E402
@@ -94,10 +103,44 @@ def fingerprint(problem_set, max_iter: int, tols=(1e-8, 1e-12)) -> None:
     print(f"sha256 {digest.hexdigest()}", flush=True)
 
 
+def feed_parsed(digest, value) -> None:
+    """Every scalar of a parsed JSON value, dict keys included, in order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            feed(digest, key)
+            feed_parsed(digest, item)
+    elif isinstance(value, list):
+        for item in value:
+            feed_parsed(digest, item)
+    else:
+        feed(digest, value)
+
+
+def cli_fingerprint() -> None:
+    """AFIRO through the command line, one line of output."""
+    digest = hashlib.sha256()
+    iterations = 0
+    statuses = Counter()
+    for algorithm in cli.ALGORITHMS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["solve", str(AFIRO), "--start-file", str(AFIRO.with_suffix(".start")),
+                             "--algorithm", algorithm, "--max-iter", "1000", "--output", "json"])
+        report = json.loads(out.getvalue())
+        feed(digest, code)
+        feed_parsed(digest, report)
+        iterations += len(report["iterations"])
+        statuses[report["status"]] += 1
+    print(f"cli solves {len(cli.ALGORITHMS)} iterations {iterations} statuses "
+          + " ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
+          + f" sha256 {digest.hexdigest()}", flush=True)
+
+
 def main() -> int:
     fingerprint(problems(), max_iter=1000)
     fingerprint(blocked_problems(), max_iter=2000)
     fingerprint(synthetic_family(20, n_max=24), max_iter=1000, tols=(1e-14, 1e-16))
+    cli_fingerprint()
     return 0
 
 
