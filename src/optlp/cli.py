@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -22,6 +23,7 @@ from . import mps, solver
 from .errors import InvalidInputError, OptLpError
 from .model import Iterate, SolverConfig, StandardLp
 from .solver import (
+    SHORTSTEP_THETA,
     STATUS_BREAKDOWN,
     STATUS_MAX_ITER,
     STATUS_NO_START,
@@ -63,12 +65,12 @@ REFERENCE_ITERATIONS = {
 }
 
 # Each algorithm's runner in optlp.solver and its default theta, the radius
-# its theory assumes; `bench` runs them in this order. A runner is looked up
-# by name when it is called, so that a wrapper put on it (a tracer's span)
-# is what runs.
+# its theory assumes, as the solver sets it; `bench` runs them in this
+# order. A runner is looked up by name when it is called, so that a wrapper
+# put on it (a tracer's span) is what runs.
 ALGORITHMS = {
-    "optimal": ("solve", 0.99),
-    "shortstep": ("solve_shortstep_baseline", 0.4),
+    "optimal": ("solve", SolverConfig.theta),
+    "shortstep": ("solve_shortstep_baseline", SHORTSTEP_THETA),
 }
 
 
@@ -290,7 +292,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and kept: building
+    it costs more than a parse, and importing this module builds nothing."""
     parser = argparse.ArgumentParser(
         prog="optlp",
         description="Primal-dual path-following LP solver with jointly optimal "
@@ -301,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one MPS file")
     p_solve.add_argument("path")
     p_solve.add_argument("--theta", type=float, default=None,
-                         help="neighborhood radius (default 0.99; 0.4 for shortstep)")
+                         help=f"neighborhood radius (default {ALGORITHMS['optimal'][1]}; "
+                         f"{ALGORITHMS['shortstep'][1]} for shortstep)")
     p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_solve.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="optimal")
@@ -328,8 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OptLpError as exc:

@@ -39,9 +39,10 @@ applications. The dual direction comes from R1 y = c1, solved by dtrtrs on
 the leading m x m block of the factor where it lies, without a copy.
 
 The x and s parts of the direction are held stacked, as x and s are in
-:class:`~optlp.model.Iterate`: p = (p_x; p_s) and q = (q_x; q_s) are the two
-columns of one Fortran-order (2n, 2) array, and one pass over 2n entries
-gives (dx; ds) = p - sigma q, whose halves are dx and ds.
+:class:`~optlp.model.Iterate`, from :func:`decompose` to the step: p =
+(p_x; p_s) and q = (q_x; q_s) are the two columns of one Fortran-order
+(2n, 2) array, and :func:`assemble_direction` gives (dx; ds) = p - sigma q
+in one pass over 2n entries, which the step subtracts from (x; s) as it is.
 """
 
 from __future__ import annotations
@@ -81,27 +82,16 @@ class FactorCache:
 class DirectionDecomposition:
     """sigma-independent pieces of the Newton direction.
 
-    dx(sigma) = p_x - sigma q_x, ds(sigma) = p_s - sigma q_s,
-    dy(sigma) = -(y_p - sigma y_q).
+    (dx; ds)(sigma) = p - sigma q, dy(sigma) = -(y_p - sigma y_q).
 
-    p = (p_x; p_s) and q = (q_x; q_s) are held as stacked 2n vectors, and
-    p_x, p_s, q_x and q_s are their halves (views). Built from the six
-    parts, it copies them; :meth:`stacked` takes p and q as they are.
+    p = (p_x; p_s) and q = (q_x; q_s) are stacked 2n vectors, held as given;
+    p_x, p_s, q_x and q_s are their halves (views).
     """
 
     __slots__ = ("p", "q", "y_p", "y_q")
 
-    def __init__(self, p_x, q_x, p_s, q_s, y_p, y_q):
-        self.p = np.concatenate((p_x, p_s))
-        self.q = np.concatenate((q_x, q_s))
-        self.y_p, self.y_q = y_p, y_q
-
-    @classmethod
-    def stacked(cls, p: np.ndarray, q: np.ndarray, y_p: np.ndarray,
-                y_q: np.ndarray) -> "DirectionDecomposition":
-        dec = cls.__new__(cls)
-        dec.p, dec.q, dec.y_p, dec.y_q = p, q, y_p, y_q
-        return dec
+    def __init__(self, p: np.ndarray, q: np.ndarray, y_p: np.ndarray, y_q: np.ndarray):
+        self.p, self.q, self.y_p, self.y_q = p, q, y_p, y_q
 
     @property
     def p_x(self) -> np.ndarray:
@@ -195,19 +185,17 @@ def decompose(cache: FactorCache, it: Iterate) -> DirectionDecomposition:
     y, info = lapack.dtrtrs(qr, c1)
     if info > 0:
         raise IllConditionedError(f"R1 is singular at diagonal {info - 1}", index=info - 1)
-    return DirectionDecomposition.stacked(pq[:, 0], pq[:, 1], y[:, 0], y[:, 1])
+    return DirectionDecomposition(pq[:, 0], pq[:, 1], y[:, 0], y[:, 1])
 
 
 def assemble_direction(
     dec: DirectionDecomposition, sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dx, dy, ds) for a concrete centering parameter sigma in [0, 1]; dx
-    and ds are the halves of one stacked vector (dx; ds)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dxs, dy) for a concrete centering parameter sigma in [0, 1], where
+    dxs is the stacked 2n vector (dx; ds)."""
     if not 0.0 <= sigma <= 1.0:
         raise InvalidInputError(f"sigma must be in [0,1], got {sigma}")
-    dxs = dec.p - sigma * dec.q
-    n = dxs.shape[0] // 2
-    return dxs[:n], -(dec.y_p - sigma * dec.y_q), dxs[n:]
+    return dec.p - sigma * dec.q, -(dec.y_p - sigma * dec.y_q)
 
 
 def step_polynomials(dec: DirectionDecomposition, theta: float, mu: float) -> StepPolynomials:

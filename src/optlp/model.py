@@ -20,6 +20,20 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def gap_and_distance(xs: np.ndarray) -> tuple[float, float]:
+    """The gap mu = x.s/n and the neighborhood distance ||x o s - mu e|| of
+    a stacked (x; s).
+
+    The distance is NaN where mu overflowed, so that no neighborhood test
+    ``dist <= theta * mu`` passes there: where only the sum x.s overflowed,
+    it would be inf, and inf <= inf.
+    """
+    n = xs.shape[0] // 2
+    x, s = xs[:n], xs[n:]
+    mu = float(x @ s) / n
+    return mu, norm(x * s - mu) if mu < math.inf else math.nan
+
+
 def _as_vector(v, name: str) -> np.ndarray:
     a = np.ascontiguousarray(v, dtype=float)
     if a.ndim != 1:
@@ -45,6 +59,7 @@ class StandardLp:
     """
 
     def __init__(self, a, b, c, name: str = ""):
+        given = (a, b, c)
         a = as_matrix(a)
         b = _as_vector(b, "b")
         c = _as_vector(c, "c")
@@ -83,9 +98,10 @@ class StandardLp:
             raise InvalidInputError(
                 f"standard form needs fewer independent rows than columns, got {m}x{n}"
             )
-        self.a = a
-        self.b = b
-        self.c = c
+        # coercion passes contiguous float64 input through as it is: copy what
+        # is still the caller's, so that writing to it cannot change this LP
+        # under its cached scales (after rank_reveal, whose workspace is freed)
+        self.a, self.b, self.c = (v.copy() if v is g else v for v, g in zip((a, b, c), given))
         self.name = name
         # the residual scales 1 + ||b|| and 1 + ||c||
         self.b_scale = 1.0 + norm(b)
@@ -131,10 +147,8 @@ class Iterate:
             raise InvalidInputError("x must be strictly positive")
         if np.min(s) <= 0.0:
             raise InvalidInputError("s must be strictly positive")
-        mu = float(x @ s) / x.shape[0]
-        # x o s overflows only where mu does
-        dist = norm(x * s - mu) if mu < math.inf else math.inf
-        self._set(np.concatenate((x, s)), y.copy(), mu, dist)
+        xs = np.concatenate((x, s))
+        self._set(xs, y.copy(), *gap_and_distance(xs))
 
     @classmethod
     def unchecked(cls, xs: np.ndarray, y: np.ndarray, mu: float, dist: float) -> "Iterate":
@@ -159,8 +173,9 @@ class Iterate:
 class SolverConfig:
     """Tunable parameters of a solve.
 
-    theta is the central-path neighborhood radius (0.99 suits the optimal
-    step selection; the short-step baseline wants 0.4).
+    theta is the central-path neighborhood radius. Its default suits the
+    optimal step selection; the short-step baseline wants
+    ``solver.SHORTSTEP_THETA``.
     """
 
     theta: float = 0.99
@@ -189,8 +204,7 @@ def neighborhood_distance(x, s) -> float:
         raise InvalidInputError("x and s must have equal length")
     if x.shape[0] == 0 or np.min(x) <= 0.0 or np.min(s) <= 0.0:
         raise InvalidInputError("x and s must be strictly positive")
-    mu = float(x @ s) / x.shape[0]
-    return norm(x * s - mu)
+    return gap_and_distance(np.concatenate((x, s)))[1]
 
 
 def residuals(lp: StandardLp, it: Iterate) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from .model import (
     Iterate,
     SolverConfig,
     StandardLp,
-    norm,
+    gap_and_distance,
     residuals,
     stopping_criterion,
 )
@@ -40,6 +40,10 @@ NEIGHBORHOOD_SLACK = 1e-8
 
 # Halvings of alpha the safeguard tries before it declares a breakdown.
 SAFEGUARD_BACKTRACKS = 30
+
+# The short step's default neighborhood radius, the one its theory assumes;
+# the optimal choice defaults to SolverConfig's.
+SHORTSTEP_THETA = 0.4
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
@@ -103,20 +107,20 @@ def _start_rejected(lp: StandardLp, start: Iterate, theta: float) -> str | None:
 
 def safeguarded_step(
     it: Iterate,
-    direction: tuple[np.ndarray, np.ndarray, np.ndarray],
+    direction: tuple[np.ndarray, np.ndarray],
     pair: CandidatePair,
     cfg: SolverConfig,
 ) -> tuple[Iterate, float]:
-    """Apply the selected step, halving alpha while the new point violates
-    positivity or neighborhood membership (exact arithmetic never needs
-    this; floating point occasionally does, and so does a fixed step rule).
-    A non-finite x or s never passes; a non-finite y raises.
+    """Apply the selected step ``direction`` = (dxs, dy) from
+    :func:`~optlp.direction.assemble_direction`, halving alpha while the new
+    point violates positivity or neighborhood membership (exact arithmetic
+    never needs this; floating point occasionally does, and so does a fixed
+    step rule). A non-finite x or s, or a gap x.s that overflows, never
+    passes; a non-finite y raises.
 
     Returns the accepted iterate and the alpha actually applied.
     """
-    dx, dy, ds = direction
-    dxs = np.concatenate((dx, ds))
-    n = it.x.shape[0]
+    dxs, dy = direction
     alpha = pair.alpha
     slack = cfg.theta * (1.0 + NEIGHBORHOOD_SLACK)
     for _ in range(SAFEGUARD_BACKTRACKS + 1):
@@ -124,9 +128,7 @@ def safeguarded_step(
         if (xs == it.xs).all():
             raise NoFeasibleStepError("step update fell below machine precision")
         if xs.min() > 0.0:
-            x, s = xs[:n], xs[n:]
-            mu = float(x @ s) / n
-            dist = norm(x * s - mu)
+            mu, dist = gap_and_distance(xs)
             if mu > 0.0 and dist <= slack * mu:
                 y = it.y - alpha * dy
                 if not np.isfinite(y).all():
@@ -138,9 +140,7 @@ def safeguarded_step(
     )
 
 
-def _exact_step(
-    it: Iterate, direction: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> Iterate | None:
+def _exact_step(it: Iterate, direction: tuple[np.ndarray, np.ndarray]) -> Iterate | None:
     """The full pure Newton step, which lands on an optimal boundary point.
 
     Components of x (or s) that come out negative by no more than roundoff
@@ -158,8 +158,8 @@ def _exact_step(
     roundoff. None when one is more negative than that, or when the point
     is not finite; the caller then takes the safeguarded step instead.
     """
-    dx, dy, ds = direction
-    xs, y = it.xs - np.concatenate((dx, ds)), it.y - dy
+    dxs, dy = direction
+    xs, y = it.xs - dxs, it.y - dy
     if not (np.isfinite(xs).all() and np.isfinite(y).all()):
         return None
     n = it.x.shape[0]
@@ -169,8 +169,7 @@ def _exact_step(
     if np.any(x < -bound * d) or np.any(s < -bound / d):
         return None
     np.maximum(xs, 0.0, out=xs)
-    mu = float(x @ s) / n
-    return Iterate.unchecked(xs, y, mu, norm(x * s - mu))
+    return Iterate.unchecked(xs, y, *gap_and_distance(xs))
 
 
 def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
@@ -250,10 +249,11 @@ def solve_shortstep_baseline(
 
     The same iteration as :func:`solve` with a fixed step rule. The
     per-iteration gap factor is exactly 1 - 0.4/sqrt(n) while the full step
-    stays in the neighborhood; pair it with theta = 0.4, the neighborhood
-    its theory assumes (Wright, Primal-Dual Interior-Point Methods, ch. 5).
+    stays in the neighborhood; without ``cfg`` it takes theta =
+    :data:`SHORTSTEP_THETA`, the neighborhood its theory assumes (Wright,
+    Primal-Dual Interior-Point Methods, ch. 5).
     """
-    cfg = cfg if cfg is not None else SolverConfig(theta=0.4)
+    cfg = cfg if cfg is not None else SolverConfig(theta=SHORTSTEP_THETA)
     sigma = 1.0 - 0.4 / math.sqrt(lp.n)
     return _iterate(lp, start, cfg,
                     lambda dec, it: (CandidatePair(sigma, 1.0, sigma * it.mu, "shortstep"), None))

@@ -17,7 +17,8 @@ each paired with alpha = theta mu sigma / sqrt(h(sigma)), where
 h(sigma) = a4 s^4 - a3 s^3 + a2 s^2 - a1 s + a0, and the endpoint sigma = 1.
 Only roots in (0, 1) matter: the roots of each quartic's derivatives cut
 [0, 1] into pieces on which it is monotone, and each sign change is refined
-by safeguarded Newton-bisection.
+by safeguarded Newton-bisection. A polynomial is passed as the sequence of
+its coefficients, highest degree first.
 """
 
 from __future__ import annotations
@@ -30,20 +31,6 @@ from .direction import StepPolynomials
 
 # ||p|| / (mu sqrt(n)) at or below this selects the exact Newton step
 A0_ZERO_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuarticPoly:
-    """Real polynomial c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0."""
-
-    c4: float
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-
-    def coefficients(self) -> list[float]:
-        return [self.c4, self.c3, self.c2, self.c1, self.c0]
 
 
 @dataclass(frozen=True)
@@ -61,34 +48,25 @@ def eval_f(sp: StepPolynomials, sigma: float, alpha: float) -> float:
     if alpha <= 0.0:
         raise InvalidInputError(f"alpha must be positive, got {alpha}")
     c2 = sp.a2 - (sp.theta * sp.mu / alpha) ** 2
-    return (((sp.a4 * sigma - sp.a3) * sigma + c2) * sigma - sp.a1) * sigma + sp.a0
+    return _horner((sp.a4, -sp.a3, c2, -sp.a1, sp.a0), sigma)[0]
 
 
 def eval_h(sp: StepPolynomials, sigma: float) -> float:
     """|| p - sigma q + sigma^2 r ||^2 expressed through the coefficients."""
-    return (((sp.a4 * sigma - sp.a3) * sigma + sp.a2) * sigma - sp.a1) * sigma + sp.a0
+    return _horner((sp.a4, -sp.a3, sp.a2, -sp.a1, sp.a0), sigma)[0]
 
 
-def f_alpha1_poly(sp: StepPolynomials) -> QuarticPoly:
-    """f(sigma, 1) as an explicit quartic in sigma."""
-    return QuarticPoly(
-        c4=sp.a4,
-        c3=-sp.a3,
-        c2=sp.a2 - (sp.theta * sp.mu) ** 2,
-        c1=-sp.a1,
-        c0=sp.a0,
-    )
+def f_alpha1_poly(sp: StepPolynomials) -> tuple[float, ...]:
+    """f(sigma, 1) as the coefficients of a quartic in sigma, highest
+    degree first."""
+    return (sp.a4, -sp.a3, sp.a2 - (sp.theta * sp.mu) ** 2, -sp.a1, sp.a0)
 
 
-def g_poly(sp: StepPolynomials) -> QuarticPoly:
-    """Stationarity quartic whose roots yield interior candidate pairs."""
-    return QuarticPoly(
-        c4=2.0 * sp.a4 - sp.a3,
-        c3=2.0 * sp.a2 - sp.a3,
-        c2=-3.0 * sp.a1,
-        c1=4.0 * sp.a0 + sp.a1,
-        c0=-2.0 * sp.a0,
-    )
+def g_poly(sp: StepPolynomials) -> tuple[float, ...]:
+    """Coefficients, highest degree first, of the stationarity quartic whose
+    roots yield interior candidate pairs."""
+    return (2.0 * sp.a4 - sp.a3, 2.0 * sp.a2 - sp.a3, -3.0 * sp.a1,
+            4.0 * sp.a0 + sp.a1, -2.0 * sp.a0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +143,12 @@ def _unit_roots(coeffs) -> list[float]:
     return roots
 
 
-def real_roots_in_open_unit(poly: QuarticPoly) -> list[float]:
-    """Sorted real roots of ``poly`` strictly inside (0, 1), a double root
-    once. Only signs of the polynomial and its derivatives are compared, so
-    the result does not depend on the scale of the coefficients."""
-    coeffs = poly.coefficients()
+def real_roots_in_open_unit(coeffs) -> list[float]:
+    """Sorted real roots strictly inside (0, 1), a double root once, of the
+    polynomial whose coefficients, highest degree first, are the sequence
+    ``coeffs``. Only signs of the polynomial and its derivatives are
+    compared, so the result does not depend on the scale of the
+    coefficients."""
     if not any(coeffs):
         raise DegenerateInputError("all polynomial coefficients are zero")
     # a bracket against 0 or 1 with no float inside it ends on that bound

@@ -196,7 +196,8 @@ def test_assemble_direction_hand_case_sigma_zero():
     lp = StandardLp(np.array([[1.0, 1.0]]), np.array([2.0]), np.array([1.0, 1.0]))
     it = Iterate([1.0, 1.0], [0.0], [1.0, 1.0])
     dec = decompose(build_factors(lp, it), it)
-    dx, dy, ds = assemble_direction(dec, 0.0)
+    dxs, dy = assemble_direction(dec, 0.0)
+    dx, ds = np.split(dxs, 2)
     ex_dx, ex_dy, ex_ds = dense_kkt_direction(lp.a, it.x, it.s, 0.0)
     assert np.allclose(dx, ex_dx, atol=1e-12)
     assert np.allclose(dy, ex_dy, atol=1e-12)
@@ -209,7 +210,8 @@ def test_assemble_direction_hand_case_sigma_zero():
 def test_assemble_direction_centered_sigma_one(problem):
     lp, start = problem
     dec = decompose(build_factors(lp, start), start)
-    dx, dy, ds = assemble_direction(dec, 1.0)
+    dxs, dy = assemble_direction(dec, 1.0)
+    dx, ds = np.split(dxs, 2)
     assert np.max(np.abs(dx)) <= 1e-12
     assert np.max(np.abs(ds)) <= 1e-12
 
@@ -220,7 +222,8 @@ def test_assemble_direction_newton_residuals(problem):
     for sigma in (0.0, 0.31, 0.5, 1.0):
         it = random_interior_iterate(lp, start, rng)
         dec = decompose(build_factors(lp, it), it)
-        dx, dy, ds = assemble_direction(dec, sigma)
+        dxs, dy = assemble_direction(dec, sigma)
+        dx, ds = np.split(dxs, 2)
         rhs = it.x * it.s - sigma * it.mu
         scale = max(np.max(np.abs(rhs)), 1e-30)
         assert np.linalg.norm(lp.a @ dx) <= 1e-9 * max(np.linalg.norm(dx), 1e-30)
@@ -246,7 +249,8 @@ def test_qr_route_matches_dense_solve(problem):
         it = random_interior_iterate(lp, start, rng)
         sigma = float(rng.uniform(0.0, 1.0))
         dec = decompose(build_factors(lp, it), it)
-        dx, dy, ds = assemble_direction(dec, sigma)
+        dxs, dy = assemble_direction(dec, sigma)
+        dx, ds = np.split(dxs, 2)
         ex_dx, ex_dy, ex_ds = dense_kkt_direction(lp.a, it.x, it.s, sigma)
         for got, ref in ((dx, ex_dx), (dy, ex_dy), (ds, ex_ds)):
             denom = max(np.linalg.norm(ref), 1e-30)
@@ -266,7 +270,7 @@ def test_directions_match_extended_precision_kkt_near_the_optimum():
         assert report.status == STATUS_OPTIMAL
         for it, dec in last:
             for sigma in (0.0, 0.5):
-                dx, _, ds = assemble_direction(dec, sigma)
+                dx, ds = np.split(assemble_direction(dec, sigma)[0], 2)
                 ref_dx, _, ref_ds = mp_kkt_direction(lp.a, it.x, it.s, sigma)
                 err = max(np.max(np.abs((dx - ref_dx) * it.s)),
                           np.max(np.abs((ds - ref_ds) * it.x)))
@@ -284,7 +288,7 @@ def test_blocked_route_directions_match_extended_precision_kkt():
                    observer=lambda k, it, dec, sp, pair: last.append((it, dec)))
     assert report.status == STATUS_OPTIMAL
     it, dec = last[-1]
-    dx, _, ds = assemble_direction(dec, 0.0)
+    dx, ds = np.split(assemble_direction(dec, 0.0)[0], 2)
     ref_dx, _, ref_ds = mp_kkt_direction(lp.a, it.x, it.s, 0.0)
     err = max(np.max(np.abs((dx - ref_dx) * it.s)), np.max(np.abs((ds - ref_ds) * it.x)))
     assert err / it.mu <= 1e-12
@@ -307,7 +311,7 @@ def test_directions_match_extended_precision_kkt_beyond_1e16():
     assert np.max(it.x / it.s) > 1e16
     for it, dec in last:
         for sigma in (0.0, 0.5):
-            dx, _, ds = assemble_direction(dec, sigma)
+            dx, ds = np.split(assemble_direction(dec, sigma)[0], 2)
             ref_dx, _, ref_ds = mp_kkt_direction(lp.a, it.x, it.s, sigma, dps=80)
             err = max(np.max(np.abs((dx - ref_dx) * it.s)), np.max(np.abs((ds - ref_ds) * it.x)))
             assert err / it.mu <= 1e-12
@@ -320,7 +324,7 @@ def test_gap_identity_inner_products(problem):
         it = random_interior_iterate(lp, start, rng)
         sigma = float(rng.uniform(0.0, 1.0))
         dec = decompose(build_factors(lp, it), it)
-        dx, _, ds = assemble_direction(dec, sigma)
+        dx, ds = np.split(assemble_direction(dec, sigma)[0], 2)
         lhs = float(it.s @ dx + it.x @ ds)
         rhs = float(it.x @ it.s) - sigma * it.mu * lp.n
         assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
@@ -329,17 +333,15 @@ def test_gap_identity_inner_products(problem):
 def test_step_polynomials_zero_and_scalar():
     from optlp.direction import DirectionDecomposition
 
-    zero = np.zeros(3)
     dec = DirectionDecomposition(
-        p_x=zero, q_x=zero, p_s=zero, q_s=zero, y_p=np.zeros(1), y_q=np.zeros(1)
+        p=np.zeros(6), q=np.zeros(6), y_p=np.zeros(1), y_q=np.zeros(1)
     )
     sp = step_polynomials(dec, theta=0.5, mu=1.0)
     assert (sp.a0, sp.a1, sp.a2, sp.a3, sp.a4) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     # n = 1 giving p = 2, q = 3, r = 1: coefficients must be (4, 12, 13, 6, 1)
     dec1 = DirectionDecomposition(
-        p_x=np.array([2.0]), q_x=np.array([1.0]),
-        p_s=np.array([1.0]), q_s=np.array([1.0]),
+        p=np.array([2.0, 1.0]), q=np.array([1.0, 1.0]),
         y_p=np.zeros(1), y_q=np.zeros(1),
     )
     sp1 = step_polynomials(dec1, theta=0.5, mu=1.0)

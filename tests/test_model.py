@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,21 @@ def test_iterate_stacks_x_and_s():
     assert np.shares_memory(it.x, it.xs) and np.shares_memory(it.s, it.xs)
     assert it.x.tolist() == [1.0, 2.0] and it.s.tolist() == [3.0, 1.0]
     assert it.neighborhood_dist == neighborhood_distance(it.x, it.s) == np.sqrt(0.5)
+
+
+def test_standard_lp_owns_its_arrays():
+    # contiguous float64 input passes coercion as it is; the LP must not keep
+    # it, or a later write changes A and b under the cached b_scale. With a
+    # dependent row dropped, A and b are new arrays and c is still copied.
+    dependent = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]), np.array([1.0, 2.0]), np.ones(3)
+    for a, b, c in ((np.array([[1.0, 1.0]]), np.array([3.0]), np.array([1.0, 2.0])), dependent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            lp = StandardLp(a, b, c)
+        before = lp.a.tolist(), lp.b.tolist(), lp.c.tolist(), lp.b_scale
+        a[:], b[:], c[:] = 5.0, 100.0, 9.0
+        assert (lp.a.tolist(), lp.b.tolist(), lp.c.tolist(), lp.b_scale) == before
+        assert lp.b_scale == 1.0 + np.linalg.norm(lp.b)
 
 
 def test_standard_lp_drops_dependent_rows():

@@ -233,7 +233,7 @@ def test_safeguarded_step_backtracks_on_inflated_alpha():
     dy = np.zeros(2)
     ds = np.zeros(4)
     pair = CandidatePair(sigma=0.5, alpha=1.0, predicted_mu=0.5, origin="g_root")
-    accepted, alpha = safeguarded_step(start, (dx, dy, ds), pair, SolverConfig())
+    accepted, alpha = safeguarded_step(start, (np.concatenate((dx, ds)), dy), pair, SolverConfig())
     assert alpha < 1.0
     assert np.min(accepted.x) > 0.0
 
@@ -243,7 +243,23 @@ def test_safeguarded_step_vanishing_update_raises():
     dx = np.full(4, 1.0)
     pair = CandidatePair(sigma=0.5, alpha=1e-300, predicted_mu=1.0, origin="g_root")
     with pytest.raises(NoFeasibleStepError):
-        safeguarded_step(start, (dx, np.zeros(2), np.zeros(4)), pair, SolverConfig())
+        safeguarded_step(start, (np.concatenate((dx, np.zeros(4))), np.zeros(2)), pair,
+                         SolverConfig())
+
+
+def test_safeguarded_step_halves_a_trial_whose_gap_overflows():
+    start = Iterate([1.0, 1.0], [0.0], [1.0, 1.0])
+    pair = CandidatePair(sigma=0.5, alpha=1.0, predicted_mu=0.5, origin="shortstep")
+    with np.errstate(all="ignore"):
+        # each x_i s_i overflows at every one of the 31 trial alphas
+        with pytest.raises(NoFeasibleStepError, match="within 30 halvings"):
+            safeguarded_step(start, (np.full(4, -1e200), np.zeros(1)), pair,
+                             SolverConfig(theta=0.4))
+        # x_i s_i = 1e308 is finite, but their sum overflows: the trial at
+        # alpha = 1 has no finite gap, and the one at alpha = 1/2 is taken
+        accepted, alpha = safeguarded_step(start, (np.full(4, -1e154), np.zeros(1)), pair,
+                                           SolverConfig(theta=0.4))
+    assert alpha == 0.5 and math.isfinite(accepted.mu)
 
 
 def test_shortstep_factor_and_closed_form():
@@ -306,16 +322,16 @@ def test_non_finite_dual_update_is_a_breakdown(monkeypatch):
     import optlp.solver as solver_mod
 
     def nan_in_dy(dec, sigma):
-        dx, dy, ds = assemble_direction(dec, sigma)
+        dxs, dy = assemble_direction(dec, sigma)
         dy = dy.copy()
         dy[0] = np.nan
-        return dx, dy, ds
+        return dxs, dy
 
     lp, start = generate_synthetic(10, 4, seed=6)
-    dx, dy, ds = nan_in_dy(decompose(build_factors(lp, start), start), 0.5)
+    dxs, dy = nan_in_dy(decompose(build_factors(lp, start), start), 0.5)
     pair = CandidatePair(sigma=0.5, alpha=0.1, predicted_mu=0.95, origin="g_root")
     with pytest.raises(NoFeasibleStepError):
-        safeguarded_step(start, (dx, dy, ds), pair, SolverConfig())
+        safeguarded_step(start, (dxs, dy), pair, SolverConfig())
 
     monkeypatch.setattr(solver_mod, "assemble_direction", nan_in_dy)
     runs = [(lp, start, solve), (lp, start, solve_shortstep_baseline)]

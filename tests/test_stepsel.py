@@ -11,7 +11,6 @@ from optlp.model import Iterate, SolverConfig
 from optlp.solver import generate_synthetic, safeguarded_step
 from optlp.stepsel import (
     CandidatePair,
-    QuarticPoly,
     eval_f,
     eval_h,
     f_alpha1_poly,
@@ -51,7 +50,7 @@ def expand_roots(roots, lead=1.0):
 def poly_from_roots(roots, lead=1.0):
     c = expand_roots(roots, lead)
     assert len(c) == 5
-    return QuarticPoly(*c)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +90,11 @@ def test_eval_g_endpoints():
     for _ in range(10):
         a0, a1, a2, a3, a4 = rng.uniform(0.1, 2.0, size=5)
         sp = make_sp(a0, a1, a2, a3, a4)
-        g = g_poly(sp).coefficients()
+        g = g_poly(sp)
         assert np.polyval(g, 0.0) == pytest.approx(-2.0 * a0, rel=1e-14)
         assert np.polyval(g, 1.0) == pytest.approx(2.0 * eval_h(sp, 1.0), rel=1e-12, abs=1e-12)
     sp = make_sp(4.0, 12.0, 13.0, 6.0, 1.0)
-    assert np.polyval(g_poly(sp).coefficients(), 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert np.polyval(g_poly(sp), 1.0) == pytest.approx(0.0, abs=1e-12)
     assert eval_h(sp, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -130,12 +129,12 @@ def test_roots_constructed_quartic():
 
 
 def test_roots_none_real():
-    assert real_roots_in_open_unit(QuarticPoly(1.0, 0.0, 0.0, 0.0, 1.0)) == []
+    assert real_roots_in_open_unit((1.0, 0.0, 0.0, 0.0, 1.0)) == []
 
 
 def test_roots_double_root_reported_once():
     # (x - 0.5)^2 (x^2 + 1)
-    poly = QuarticPoly(1.0, -1.0, 1.25, -1.0, 0.25)
+    poly = (1.0, -1.0, 1.25, -1.0, 0.25)
     roots = real_roots_in_open_unit(poly)
     assert len(roots) == 1
     assert roots[0] == pytest.approx(0.5, abs=1e-10)
@@ -150,18 +149,18 @@ def test_roots_excludes_boundary_and_outside():
 
 def test_roots_degenerate_degrees():
     # leading zeros: cubic, quadratic, linear, constant
-    assert real_roots_in_open_unit(QuarticPoly(0.0, 1.0, -0.9, 0.08, 0.0)) == pytest.approx(
+    assert real_roots_in_open_unit((0.0, 1.0, -0.9, 0.08, 0.0)) == pytest.approx(
         [0.1, 0.8], abs=1e-10
     )  # x(x - 0.1)(x - 0.8)
-    assert real_roots_in_open_unit(QuarticPoly(0.0, 0.0, 1.0, -0.5, 0.06)) == pytest.approx(
+    assert real_roots_in_open_unit((0.0, 0.0, 1.0, -0.5, 0.06)) == pytest.approx(
         [0.2, 0.3], abs=1e-10
     )
-    assert real_roots_in_open_unit(QuarticPoly(0.0, 0.0, 0.0, 2.0, -1.0)) == pytest.approx(
+    assert real_roots_in_open_unit((0.0, 0.0, 0.0, 2.0, -1.0)) == pytest.approx(
         [0.5], abs=1e-14
     )
-    assert real_roots_in_open_unit(QuarticPoly(0.0, 0.0, 0.0, 0.0, 3.0)) == []
+    assert real_roots_in_open_unit((0.0, 0.0, 0.0, 0.0, 3.0)) == []
     with pytest.raises(DegenerateInputError):
-        real_roots_in_open_unit(QuarticPoly(0.0, 0.0, 0.0, 0.0, 0.0))
+        real_roots_in_open_unit((0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def test_roots_random_reconstruction():
@@ -189,7 +188,7 @@ def test_roots_random_reconstruction():
       -1.91093854715203e-23, 3.351067191324626e-24], 8.626409217113688e-06),
 ])
 def test_roots_tiny_coefficients(coeffs, root):
-    assert real_roots_in_open_unit(QuarticPoly(*coeffs)) == [pytest.approx(root, rel=1e-12)]
+    assert real_roots_in_open_unit(coeffs) == [pytest.approx(root, rel=1e-12)]
 
 
 # zero, or of a magnitude in [1e-30, 1]: wider ranges put roots beyond the
@@ -210,7 +209,7 @@ def test_roots_match_extended_precision(coeffs):
     root reported matches one of mpmath's. A root r is exempt only where
     float64 cannot tell p from zero at r (1 +- 1e-6), clipped to [0, 1]."""
     assume(any(coeffs))
-    found = real_roots_in_open_unit(QuarticPoly(*coeffs))
+    found = real_roots_in_open_unit(coeffs)
     roots = mp_polyroots(coeffs)
 
     def signs_around(r):
@@ -333,7 +332,7 @@ def test_select_step_huge_h_takes_a_vanishing_sigma_one_step(monkeypatch):
     assert 0.0 < pair.alpha < 1e-20
     assert eval_f(sp, pair.sigma, pair.alpha) <= 1e-14 * (sp.a0 + (sp.theta * sp.mu) ** 2)
     it = Iterate(np.ones(4), np.zeros(2), np.ones(4))
-    direction = (np.full(4, 0.5), np.ones(2), np.full(4, 0.5))
+    direction = (np.full(8, 0.5), np.ones(2))
     with pytest.raises(NoFeasibleStepError):
         safeguarded_step(it, direction, pair, SolverConfig(theta=0.5))
 
@@ -383,10 +382,9 @@ def test_select_step_matches_extended_precision_oracle():
 
 def test_poly_builders_match_definitions():
     sp = make_sp(4.0, 12.0, 13.0, 6.0, 1.0, theta=0.7, mu=2.0)
-    fp = f_alpha1_poly(sp)
-    assert (fp.c4, fp.c3, fp.c1, fp.c0) == (1.0, -6.0, -12.0, 4.0)
-    assert fp.c2 == pytest.approx(13.0 - (0.7 * 2.0) ** 2)
-    gp = g_poly(sp)
-    assert (gp.c4, gp.c3, gp.c2, gp.c1, gp.c0) == (
+    c4, c3, c2, c1, c0 = f_alpha1_poly(sp)
+    assert (c4, c3, c1, c0) == (1.0, -6.0, -12.0, 4.0)
+    assert c2 == pytest.approx(13.0 - (0.7 * 2.0) ** 2)
+    assert g_poly(sp) == (
         2.0 * 1.0 - 6.0, 2.0 * 13.0 - 6.0, -36.0, 28.0, -8.0
     )

@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 from optlp.cli import write_start_file
 from optlp.direction import assemble_direction, build_factors, decompose
-from optlp.model import Iterate, neighborhood_distance
+from optlp.model import Iterate, gap_and_distance
 from optlp.mps import parse_mps, to_standard_form
 
 
@@ -50,20 +50,17 @@ def max_margin_dual(a, c_vec):
 
 def center(lp, it, target=0.25, max_steps=400):
     for k in range(max_steps):
-        dist = neighborhood_distance(it.x, it.s)
+        dist = it.neighborhood_dist
         if dist <= target * it.mu:
             return it, k
         dec = decompose(build_factors(lp, it), it)
-        dx, dy, ds = assemble_direction(dec, 1.0)
+        dxs, dy = assemble_direction(dec, 1.0)
         alpha = 1.0
         for _ in range(60):
-            x = it.x - alpha * dx
-            s = it.s - alpha * ds
-            if np.min(x) > 0 and np.min(s) > 0:
-                mu = float(x @ s) / x.size
-                if float(np.linalg.norm(x * s - mu)) < dist:
-                    it = Iterate(x, it.y - alpha * dy, s)
-                    break
+            xs = it.xs - alpha * dxs
+            if np.min(xs) > 0 and gap_and_distance(xs)[1] < dist:
+                it = Iterate(xs[:lp.n], it.y - alpha * dy, xs[lp.n:])
+                break
             alpha *= 0.5
         else:
             raise SystemExit(f"centering stalled at distance {dist:.3e}")
@@ -77,10 +74,10 @@ def main(path):
     y, s, td = max_margin_dual(lp.a, lp.c)
     print(f"primal margin {tp:.4f}, dual margin {td:.4f}")
     it = Iterate(x, y, s)
-    print(f"initial mu {it.mu:.4f}, distance/mu {neighborhood_distance(x, s) / it.mu:.3f}")
+    print(f"initial mu {it.mu:.4f}, distance/mu {it.neighborhood_dist / it.mu:.3f}")
     it, steps = center(lp, it)
     print(f"centered in {steps} steps: mu {it.mu:.4f}, "
-          f"distance/mu {neighborhood_distance(it.x, it.s) / it.mu:.4f}")
+          f"distance/mu {it.neighborhood_dist / it.mu:.4f}")
     out = path.with_suffix(".start")
     write_start_file(out, it)
     print(f"wrote {out}")
