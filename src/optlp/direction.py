@@ -24,19 +24,13 @@ split into its first m rows c1 and the rest c2, the projections are
 Q [c1; 0] and Q [0; c2]: the null-space part comes from an orthogonal
 transformation, not from a subtraction that would cancel.
 
-Two LAPACK routines factor D A^T, chosen by m alone. Below 64 rows dgeqrf
-does, whose panels are level-2 (dgeqr2). From 64 rows on dgeqrt does, with
-32-column blocks whose panels are factored recursively in level-3 BLAS
-(Elmroth & Gustavson, IBM J. Res. Dev. 44(4), 2000). Medians per
-factorization on a 2-core Xeon with one BLAS thread, dgeqrf against dgeqrt:
-21 against 57 us at 51 x 27 (AFIRO's shape), 42 against 58 us at 123 x 48,
-within 3% of each other at 164 x 64, 254 against 194 us at 205 x 80,
-1.03 against 0.55 ms at 328 x 128 and 13.1 against 11.2 ms at 1024 x 400.
-dgeqrt leaves the same reflectors and R1 as dgeqrf, and instead of tau the
-upper-triangular factors T of its block reflectors, whose diagonals are
-the tau. So both routes end in the same (qr, tau) and the same dormqr
-applications. The dual direction comes from R1 y = c1, solved by dtrtrs on
-the leading m x m block of the factor where it lies, without a copy.
+D A^T is factored by :func:`optlp.linalg.householder_qr`, the package's
+one unpivoted QR, which the rank reveal shares: dgeqrf below 64 rows,
+dgeqrt in 32-column blocks from 64 rows on (the ``linalg`` module
+docstring gives the measured crossover). Both routes end in the same
+reflectors, R1 and tau, so in the same dormqr applications. The dual
+direction comes from R1 y = c1, solved by dtrtrs on the leading m x m block
+of the factor where it lies, without a copy.
 
 The x and s parts of the direction are held stacked, as x and s are in
 :class:`~optlp.model.Iterate`, from :func:`decompose` to the step: p =
@@ -53,12 +47,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import IllConditionedError, InvalidInputError
+from .linalg import householder_qr
 from .model import Iterate, StandardLp
-
-# From this many rows on, dgeqrt with nb-column blocks factors D A^T, and
-# below it dgeqrf: the measured crossover (module docstring)
-BLOCKED_QR_MIN_ROWS = 64
-BLOCKED_QR_NB = 32
 
 
 @dataclass(frozen=True)
@@ -66,9 +56,8 @@ class FactorCache:
     """Householder QR of one iterate's scaled row space, Q [R1; 0] = D A^T.
 
     qr (n x m, Fortran order) holds R1 on and above its diagonal and, below
-    it, the reflectors whose product is Q; tau holds their scalar factors,
-    from dgeqrf or, when m >= BLOCKED_QR_MIN_ROWS, read off the diagonals
-    of the T blocks of dgeqrt (tau[k] = T[k % nb, k]).
+    it, the reflectors whose product is Q; tau holds their scalar factors
+    (:func:`optlp.linalg.householder_qr`).
     Applied through them, Q1 Q1^T projects onto range(D A^T) and Q2 Q2^T
     onto the scaled null space range(D^-1 Z) of A. R1 recovers the dual
     direction by back-substitution. d holds sqrt(x_i/s_i).
@@ -148,14 +137,8 @@ def build_factors(lp: StandardLp, it: Iterate) -> FactorCache:
     d = np.sqrt(ratio)
     # D A^T comes out in Fortran order, which either routine factors in place
     dat = (lp.a * d).T
-    if lp.m >= BLOCKED_QR_MIN_ROWS:
-        qr, t, info = lapack.dgeqrt(BLOCKED_QR_NB, dat, overwrite_a=1)
-        k = np.arange(lp.m)
-        tau = t[k % BLOCKED_QR_NB, k]
-    else:
-        lwork, _ = lapack.dgeqrf_lwork(lp.n, lp.m)
-        qr, tau, _, info = lapack.dgeqrf(dat, lwork=int(lwork), overwrite_a=1)
-    if info != 0 or not np.isfinite(qr).all():
+    qr, tau = householder_qr(dat)
+    if not np.isfinite(qr).all():
         raise IllConditionedError("scaled QR factors are not finite", index=-1)
     return FactorCache(qr=qr, tau=tau, d=d)
 

@@ -15,9 +15,23 @@ from .linalg import DEFAULT_RANK_TOL, as_matrix, rank_reveal
 
 
 def norm(v: np.ndarray) -> float:
-    """2-norm of a contiguous 1-d float vector: ``np.linalg.norm(v)`` to the
-    bit, since that computes sqrt(v.dot(v)) too, without its dispatch."""
-    return math.sqrt(v.dot(v))
+    """2-norm of a contiguous 1-d float vector.
+
+    Where the sum of squares v.v is finite, this is ``np.linalg.norm(v)`` to
+    the bit, since that computes sqrt(v.v) too: ``np.vdot`` takes v.v by the
+    same BLAS ddot as ``v.dot(v)``, only without numpy's floating-point error
+    check. So where v.v overflows (||v|| above about 1.3e154) no warning
+    escapes, and the norm is taken of v over its largest magnitude and scaled
+    back.
+    """
+    sq = np.vdot(v, v)
+    if sq < math.inf:
+        return math.sqrt(sq)
+    big = float(np.abs(v).max())
+    if not big < math.inf:  # an inf or NaN entry
+        return big
+    w = v / big
+    return big * math.sqrt(np.vdot(w, w))
 
 
 def gap_and_distance(xs: np.ndarray) -> tuple[float, float]:

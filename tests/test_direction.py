@@ -10,7 +10,6 @@ from scipy.optimize import linprog
 
 from optlp.cli import read_start_file
 from optlp.direction import (
-    BLOCKED_QR_MIN_ROWS,
     FactorCache,
     assemble_direction,
     build_factors,
@@ -18,6 +17,7 @@ from optlp.direction import (
     step_polynomials,
 )
 from optlp.errors import IllConditionedError, InvalidInputError
+from optlp.linalg import BLOCKED_QR_MIN_ROWS
 from optlp.model import Iterate, SolverConfig, StandardLp
 from optlp.mps import parse_mps, to_standard_form
 from optlp.solver import STATUS_OPTIMAL, generate_synthetic, solve

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
+import scipy.linalg
 
-from optlp.linalg import rank_reveal
+from optlp.linalg import DEFAULT_RANK_TOL, rank_reveal
 
 
 def test_rank_reveal_duplicated_row():
@@ -39,3 +41,51 @@ def test_rank_reveal_row_permutation_invariant():
 def test_rank_reveal_zero_matrix():
     rank, kept = rank_reveal(np.zeros((2, 3)))
     assert rank == 0 and kept == []
+
+
+def _scipy_rank_reveal(a):
+    # the reference: one column-pivoted QR of the whole A^T, same 1e-12 rule
+    r, pivots = scipy.linalg.qr(a.T, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0]))
+    return rank, sorted(int(i) for i in pivots[:rank])
+
+
+def _draws(rng, m, n):
+    """(kind, a, tied) for one seeded draw of each kind at shape (m, n);
+    tied marks draws whose candidate rows can tie exactly."""
+    k = min(m, n)
+    gauss = rng.normal(size=(m, n))
+    yield "gauss", gauss, False
+    yield "product", rng.normal(size=(m, k // 2)) @ rng.normal(size=(k // 2, n)), False
+    dup = rng.normal(size=(m, n))
+    dup[m - 1] = dup[0]
+    yield "duplicate", dup, True
+    ints = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.3)
+    ints[m - 1] = ints[0] + ints[1]
+    yield "sparse-int", ints.astype(float), True
+    scaled = gauss * 10.0 ** rng.uniform(-3, 3, size=(m, 1)) * 10.0 ** rng.uniform(-3, 3, size=n)
+    yield "scaled", scaled, False
+
+
+# min(m, n) on both sides of BLOCKED_QR_MIN_ROWS, with m < n and m > n; at
+# (100, 20) A^T has 100 columns but too few rows for dgeqrt's blocks
+@pytest.mark.parametrize("shape", [(40, 100), (100, 20), (80, 200), (200, 80)])
+def test_rank_reveal_matches_pivoted_qr_of_the_whole_transpose(shape):
+    # R's pivots are A^T's in exact arithmetic; in floating point they agree
+    # wherever no two candidate rows tie exactly, and the rank always does
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for draw in range(2):
+        for kind, a, tied in _draws(rng, *shape):
+            rank, kept = rank_reveal(a)
+            ref_rank, ref_kept = _scipy_rank_reveal(a)
+            assert rank == ref_rank, (kind, draw)
+            if not tied:
+                assert kept == ref_kept, (kind, draw)
+                continue
+            sub = a[kept]
+            assert np.linalg.matrix_rank(sub) == rank, (kind, draw)
+            dropped = np.setdiff1d(np.arange(shape[0]), kept)
+            w = np.linalg.lstsq(sub.T, a[dropped].T, rcond=None)[0]
+            err = np.linalg.norm(sub.T @ w - a[dropped].T, axis=0)
+            assert np.all(err <= 1e-10 * np.linalg.norm(a[dropped], axis=1)), (kind, draw)

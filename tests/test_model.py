@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,6 +71,38 @@ def test_standard_lp_owns_its_arrays():
         a[:], b[:], c[:] = 5.0, 100.0, 9.0
         assert (lp.a.tolist(), lp.b.tolist(), lp.c.tolist(), lp.b_scale) == before
         assert lp.b_scale == 1.0 + np.linalg.norm(lp.b)
+
+
+def test_standard_lp_peak_memory_is_one_working_copy():
+    # the rank reveal factors one copy of A^T and keeps only its m x m R;
+    # a pivoted QR of the whole A^T, with an n x m R and mask, peaked at 2.2x
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(200, 512))
+    b, c = rng.normal(size=200), rng.normal(size=512)
+    tracemalloc.start()
+    try:
+        StandardLp(a, b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * a.nbytes
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_scales_survive_a_norm_above_1e154():
+    # ||b||^2 overflows; 1 + ||b|| must not, or every primal residual reads 0
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    c = np.array([1.0, 1.0, 3.0])
+    lp = StandardLp(a, np.array([2e155, 2e155]), c)
+    assert lp.b_scale == pytest.approx(2e155 * np.sqrt(2.0), rel=1e-15)
+    it = Iterate(1e155 * np.array([1.0, 1.0, 1.0 - 1e-6]), np.zeros(2), c)
+    xs = it.x * it.s / 1e155
+    assert it.neighborhood_dist == pytest.approx(1e155 * np.linalg.norm(xs - xs.mean()), rel=1e-12)
+    pr, dr = residuals(lp, it)
+    assert pr == pytest.approx(5e-7, rel=1e-9)
+    assert dr == 0.0
+    # below the overflow the scale keeps the plain norm's bits
+    assert StandardLp(a, np.array([2e150, 2e150]), c).b_scale == 1.0 + np.linalg.norm([2e150, 2e150])
 
 
 def test_standard_lp_drops_dependent_rows():

@@ -9,6 +9,7 @@ from optlp.direction import assemble_direction, build_factors, decompose
 from optlp.errors import InvalidInputError, NoFeasibleStepError
 from optlp.model import Iterate, SolverConfig, StandardLp, neighborhood_distance, residuals
 from optlp.solver import (
+    SHORTSTEP_THETA,
     STATUS_BREAKDOWN,
     STATUS_MAX_ITER,
     STATUS_NO_START,
@@ -73,6 +74,26 @@ def test_generate_synthetic_rank_deficient_draw_raises(monkeypatch):
         generate_synthetic(16, 7, seed=5)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tied_rows_solve_to_the_reduced_lps_optimum(seed):
+    # a duplicated row and a row equal to the sum of two others, each with
+    # a consistent b: whichever of the tied rows the reveal keeps, both
+    # algorithms reach the optimum of the LP without them
+    lp, start = generate_synthetic(24, 10, seed=seed)
+    cfg = SolverConfig(tol=1e-12)
+    ref = solve(lp, start, cfg)
+    assert ref.status == STATUS_OPTIMAL
+    extra = np.vstack((lp.a[0], lp.a[1] + lp.a[2]))
+    with pytest.warns(UserWarning, match="dropping 2"):
+        tied = StandardLp(np.vstack((lp.a, extra)), np.concatenate((lp.b, extra @ start.x)), lp.c)
+    y = np.linalg.lstsq(tied.a.T, lp.c - start.s, rcond=None)[0]
+    tied_start = Iterate(start.x, y, start.s)
+    for run, theta in ((solve, cfg.theta), (solve_shortstep_baseline, SHORTSTEP_THETA)):
+        report = run(tied, tied_start, SolverConfig(theta=theta, tol=cfg.tol, max_iter=1000))
+        assert report.status == STATUS_OPTIMAL, run.__name__
+        assert report.objective == pytest.approx(ref.objective, rel=1e-8), run.__name__
+
+
 def test_solve_synthetic_to_optimality():
     lp, start = generate_synthetic(20, 9, seed=11)
     report = solve(lp, start)
@@ -116,13 +137,16 @@ def test_solve_rejects_bad_starts():
 
 
 def test_overflowing_start_has_no_interior_start():
-    # A x and A^T y overflow, so both residuals are NaN; such a start is
-    # not known to be feasible and must not pass as one
+    # A x overflows, so the primal residual is NaN; such a start is not
+    # known to be feasible and must not pass as one. A^T y does not: the
+    # dual residual is 1e305 ||s0|| / (1 + 1e305 ||c||), s0 = e the start's s
     lp, start = generate_synthetic(14, 6, seed=77)
     it = Iterate(np.full(lp.n, 1e7), start.y, np.full(lp.n, 1e-7))
     with np.errstate(over="ignore", invalid="ignore"):
         big = StandardLp(lp.a * 1e305, lp.b * 1e305, lp.c * 1e305)
-        assert all(math.isnan(r) for r in residuals(big, it))
+        pr, dr = residuals(big, it)
+        assert math.isnan(pr)
+        assert dr == pytest.approx(math.sqrt(lp.n) / np.linalg.norm(lp.c), rel=1e-9)
         report = solve(big, it)
     assert report.status == STATUS_NO_START
     assert report.iterations == []

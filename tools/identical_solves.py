@@ -11,7 +11,7 @@ each selection origin (``IterationRecord.origin``), so a change that moves a
 selection from one candidate source to another shows by name.
 
 Every problem of that set has fewer than 64 rows, so its factors come from
-dgeqrf (``direction.BLOCKED_QR_MIN_ROWS``). A second set, fingerprinted the
+dgeqrf (``linalg.BLOCKED_QR_MIN_ROWS``). A second set, fingerprinted the
 same way after the first, covers the dgeqrt route: ``generate_synthetic``
 at (n, m) = (160, 64), (256, 100) and (384, 150) with seeds 1 and 2, with
 max_iter 2000, since the short step needs up to about 1,100 iterations at
