@@ -74,11 +74,6 @@ ALGORITHMS = {
 }
 
 
-# --max-iter of `solve` and `bench`: enough for the short step, which needs
-# 290 iterations on AFIRO
-DEFAULT_MAX_ITER = 1000
-
-
 def _setup_logging() -> None:
     level_name = os.environ.get("OPTLP_LOG", "warning").lower()
     level = {
@@ -308,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--theta", type=float, default=None,
                          help=f"neighborhood radius (default {ALGORITHMS['optimal'][1]}; "
                          f"{ALGORITHMS['shortstep'][1]} for shortstep)")
-    p_solve.add_argument("--tol", type=float, default=1e-8)
-    p_solve.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p_solve.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p_solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_solve.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="optimal")
     p_solve.add_argument("--start-file", default=None,
                          help="sidecar with x, y, s (whitespace-separated)")
@@ -325,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="benchmark a directory of MPS files")
     p_bench.add_argument("dir")
-    p_bench.add_argument("--tol", type=float, default=1e-8)
-    p_bench.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p_bench.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p_bench.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_bench.set_defaults(func=cmd_bench)
     return parser

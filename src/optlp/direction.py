@@ -32,11 +32,15 @@ reflectors, R1 and tau, so in the same dormqr applications. The dual
 direction comes from R1 y = c1, solved by dtrtrs on the leading m x m block
 of the factor where it lies, without a copy.
 
-The x and s parts of the direction are held stacked, as x and s are in
-:class:`~optlp.model.Iterate`, from :func:`decompose` to the step: p =
-(p_x; p_s) and q = (q_x; q_s) are the two columns of one Fortran-order
-(2n, 2) array, and :func:`assemble_direction` gives (dx; ds) = p - sigma q
-in one pass over 2n entries, which the step subtracts from (x; s) as it is.
+Each layer hands the next the arrays it built, with no wrapper:
+:func:`build_factors` returns (qr, tau, d), and :func:`decompose` returns
+(pq, y). The x and s parts of the direction are held stacked, as x and s
+are in :class:`~optlp.model.Iterate`, from :func:`decompose` to the step:
+p = (p_x; p_s) and q = (q_x; q_s) are the two columns of the Fortran-order
+(2n, 2) array pq, and y_p and y_q those of the (m, 2) array y that dtrtrs
+leaves. :func:`step_polynomials` reads the halves of pq's columns, and
+:func:`assemble_direction` gives (dx; ds) = p - sigma q in one pass over 2n
+entries, which the step subtracts from (x; s) as it is.
 """
 
 from __future__ import annotations
@@ -49,54 +53,6 @@ from scipy.linalg import lapack
 from .errors import IllConditionedError, InvalidInputError
 from .linalg import householder_qr
 from .model import Iterate, StandardLp
-
-
-@dataclass(frozen=True)
-class FactorCache:
-    """Householder QR of one iterate's scaled row space, Q [R1; 0] = D A^T.
-
-    qr (n x m, Fortran order) holds R1 on and above its diagonal and, below
-    it, the reflectors whose product is Q; tau holds their scalar factors
-    (:func:`optlp.linalg.householder_qr`).
-    Applied through them, Q1 Q1^T projects onto range(D A^T) and Q2 Q2^T
-    onto the scaled null space range(D^-1 Z) of A. R1 recovers the dual
-    direction by back-substitution. d holds sqrt(x_i/s_i).
-    """
-
-    qr: np.ndarray
-    tau: np.ndarray
-    d: np.ndarray
-
-
-class DirectionDecomposition:
-    """sigma-independent pieces of the Newton direction.
-
-    (dx; ds)(sigma) = p - sigma q, dy(sigma) = -(y_p - sigma y_q).
-
-    p = (p_x; p_s) and q = (q_x; q_s) are stacked 2n vectors, held as given;
-    p_x, p_s, q_x and q_s are their halves (views).
-    """
-
-    __slots__ = ("p", "q", "y_p", "y_q")
-
-    def __init__(self, p: np.ndarray, q: np.ndarray, y_p: np.ndarray, y_q: np.ndarray):
-        self.p, self.q, self.y_p, self.y_q = p, q, y_p, y_q
-
-    @property
-    def p_x(self) -> np.ndarray:
-        return self.p[:self.p.shape[0] // 2]
-
-    @property
-    def p_s(self) -> np.ndarray:
-        return self.p[self.p.shape[0] // 2:]
-
-    @property
-    def q_x(self) -> np.ndarray:
-        return self.q[:self.q.shape[0] // 2]
-
-    @property
-    def q_s(self) -> np.ndarray:
-        return self.q[self.q.shape[0] // 2:]
 
 
 @dataclass(frozen=True)
@@ -124,8 +80,16 @@ class StepPolynomials:
     r: np.ndarray
 
 
-def build_factors(lp: StandardLp, it: Iterate) -> FactorCache:
-    """Factor the scaled row space D A^T at an iterate."""
+def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder QR of the iterate's scaled row space, Q [R1; 0] = D A^T.
+
+    Returns (qr, tau, d). qr (n x m, Fortran order) holds R1 on and above
+    its diagonal and, below it, the reflectors whose product is Q; tau holds
+    their scalar factors (:func:`optlp.linalg.householder_qr`). Applied
+    through them, Q1 Q1^T projects onto range(D A^T) and Q2 Q2^T onto the
+    scaled null space range(D^-1 Z) of A. R1 recovers the dual direction by
+    back-substitution. d holds sqrt(x_i/s_i).
+    """
     ratio = it.x / it.s
     # Householder QR stays accurate however widely d spreads (Cox & Higham
     # 1998): only a ratio that overflowed to inf or underflowed to 0 fails
@@ -140,12 +104,19 @@ def build_factors(lp: StandardLp, it: Iterate) -> FactorCache:
     qr, tau = householder_qr(dat)
     if not np.isfinite(qr).all():
         raise IllConditionedError("scaled QR factors are not finite", index=-1)
-    return FactorCache(qr=qr, tau=tau, d=d)
+    return qr, tau, d
 
 
-def decompose(cache: FactorCache, it: Iterate) -> DirectionDecomposition:
-    """Split the Newton direction into its sigma-independent components."""
-    d, qr, tau = cache.d, cache.qr, cache.tau
+def decompose(factors, it: Iterate) -> tuple[np.ndarray, np.ndarray]:
+    """Split the Newton direction into its sigma-independent components.
+
+    ``factors`` is (qr, tau, d) from :func:`build_factors`. Returns (pq, y):
+    pq is the Fortran-order (2n, 2) array [p, q] of the stacked p = (p_x;
+    p_s) and q = (q_x; q_s), and y the (m, 2) array [y_p, y_q], with
+
+        (dx; ds)(sigma) = p - sigma q,   dy(sigma) = -(y_p - sigma y_q).
+    """
+    qr, tau, d = factors
     n, m = qr.shape
     vw = np.empty((n, 2), order="F")  # [v, mu (x o s)^{-1/2}], v = sqrt(x o s)
     v = np.sqrt(it.x * it.s, out=vw[:, 0])
@@ -168,22 +139,24 @@ def decompose(cache: FactorCache, it: Iterate) -> DirectionDecomposition:
     y, info = lapack.dtrtrs(qr, c1)
     if info > 0:
         raise IllConditionedError(f"R1 is singular at diagonal {info - 1}", index=info - 1)
-    return DirectionDecomposition(pq[:, 0], pq[:, 1], y[:, 0], y[:, 1])
+    return pq, y
 
 
-def assemble_direction(
-    dec: DirectionDecomposition, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dxs, dy) for a concrete centering parameter sigma in [0, 1], where
-    dxs is the stacked 2n vector (dx; ds)."""
+def assemble_direction(dec, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(dxs, dy) for a concrete centering parameter sigma in [0, 1] from
+    :func:`decompose`'s (pq, y), where dxs is the stacked 2n vector (dx; ds)."""
     if not 0.0 <= sigma <= 1.0:
         raise InvalidInputError(f"sigma must be in [0,1], got {sigma}")
-    return dec.p - sigma * dec.q, -(dec.y_p - sigma * dec.y_q)
+    pq, y = dec
+    return pq[:, 0] - sigma * pq[:, 1], -(y[:, 0] - sigma * y[:, 1])
 
 
-def step_polynomials(dec: DirectionDecomposition, theta: float, mu: float) -> StepPolynomials:
-    """Quartic coefficients of ||dx(sigma) o ds(sigma)||^2."""
-    p_x, p_s, q_x, q_s = dec.p_x, dec.p_s, dec.q_x, dec.q_s
+def step_polynomials(dec, theta: float, mu: float) -> StepPolynomials:
+    """Quartic coefficients of ||dx(sigma) o ds(sigma)||^2, from
+    :func:`decompose`'s (pq, y)."""
+    pq, _ = dec
+    n = pq.shape[0] // 2
+    (p_x, q_x), (p_s, q_s) = pq[:n].T, pq[n:].T
     p = p_x * p_s
     q = q_x * p_s + p_x * q_s
     r = q_x * q_s

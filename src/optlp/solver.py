@@ -35,7 +35,8 @@ log = logging.getLogger("optlp.solver")
 START_RESIDUAL_TOL = 1e-8
 
 # Acceptance slack on the neighborhood test, to absorb roundoff on steps
-# that exact arithmetic guarantees feasible.
+# that exact arithmetic guarantees feasible; a start passes the same test,
+# so that a point the solver accepted is accepted again as a start.
 NEIGHBORHOOD_SLACK = 1e-8
 
 # Halvings of alpha the safeguard tries before it declares a breakdown.
@@ -92,6 +93,13 @@ def _make_record(lp: StandardLp, k: int, it: Iterate, sigma: float, alpha: float
     )
 
 
+def _in_neighborhood(mu: float, dist: float, theta: float) -> bool:
+    """The neighborhood test of starts and steps alike: mu > 0 and dist <=
+    theta mu, up to NEIGHBORHOOD_SLACK. A NaN (an overflowed product) fails
+    it."""
+    return mu > 0.0 and dist <= theta * (1.0 + NEIGHBORHOOD_SLACK) * mu
+
+
 def _start_rejected(lp: StandardLp, start: Iterate, theta: float) -> str | None:
     # each test is written so that a NaN (an overflowed product) fails it
     pr, dr = residuals(lp, start)
@@ -100,7 +108,7 @@ def _start_rejected(lp: StandardLp, start: Iterate, theta: float) -> str | None:
     if not math.isfinite(start.mu):
         return f"start gap mu = {start.mu} is not finite"
     dist = start.neighborhood_dist
-    if not dist <= theta * start.mu * (1.0 + 1e-12):
+    if not _in_neighborhood(start.mu, dist, theta):
         return f"start lies outside the theta={theta} neighborhood ({dist:.3e} > {theta * start.mu:.3e})"
     return None
 
@@ -122,14 +130,13 @@ def safeguarded_step(
     """
     dxs, dy = direction
     alpha = pair.alpha
-    slack = cfg.theta * (1.0 + NEIGHBORHOOD_SLACK)
     for _ in range(SAFEGUARD_BACKTRACKS + 1):
         xs = it.xs - alpha * dxs
         if (xs == it.xs).all():
             raise NoFeasibleStepError("step update fell below machine precision")
         if xs.min() > 0.0:
             mu, dist = gap_and_distance(xs)
-            if mu > 0.0 and dist <= slack * mu:
+            if _in_neighborhood(mu, dist, cfg.theta):
                 y = it.y - alpha * dy
                 if not np.isfinite(y).all():
                     raise NoFeasibleStepError("dual update is not finite")
@@ -228,8 +235,9 @@ def solve(
     ``start`` must be strictly positive, feasible to ~1e-8 and inside the
     theta-neighborhood; otherwise the report comes back with status
     ``no_interior_start``. ``observer``, when given, is called once per
-    iteration with (k, iterate, decomposition, polynomials, pair) before the
-    step is applied; tests use it to harvest live data.
+    iteration with (k, iterate, dec, polynomials, pair) before the step is
+    applied, where dec is the (pq, y) pair of
+    :func:`~optlp.direction.decompose`; tests use it to harvest live data.
     """
     cfg = cfg if cfg is not None else SolverConfig()
 

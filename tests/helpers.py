@@ -14,7 +14,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from optlp.model import Iterate, neighborhood_distance
+from optlp.model import Iterate
 from optlp.solver import generate_synthetic
 
 
@@ -114,9 +114,9 @@ def random_interior_iterate(lp, start, rng, spread=0.5, theta=0.99):
         s = start.s + lp.a.T @ w
         y = start.y - w
         if np.min(x) > 1e-3 and np.min(s) > 1e-3:
-            mu = float(x @ s) / lp.n
-            if neighborhood_distance(x, s) <= theta * mu:
-                return Iterate(x, y, s)
+            it = Iterate(x, y, s)
+            if it.neighborhood_dist <= theta * it.mu:
+                return it
         spread *= 0.7
     raise RuntimeError("could not build a random interior iterate")
 

@@ -40,8 +40,7 @@ def _report(criterion, ok, detail=""):
 
 
 def _direction_at(lp, it, theta=0.99):
-    cache = build_factors(lp, it)
-    dec = decompose(cache, it)
+    dec = decompose(build_factors(lp, it), it)
     return dec, step_polynomials(dec, theta, it.mu)
 
 

@@ -15,8 +15,8 @@ from optlp.cli import (
     report_to_dict,
     write_start_file,
 )
-from optlp.mps import format_mps, from_standard_lp
-from optlp.solver import generate_synthetic
+from optlp.mps import format_mps, from_standard_lp, parse_mps, to_standard_form
+from optlp.solver import STATUS_OPTIMAL, generate_synthetic, solve
 
 NETLIB = Path(__file__).parent / "data" / "netlib"
 
@@ -394,12 +394,23 @@ def test_bench_synthetic_instance_row(tmp_path, capsys):
 
 
 def test_solve_default_max_iter_covers_shortstep_on_afiro(capsys):
-    # the short step takes 290 iterations on AFIRO, more than the library's
-    # default max_iter of 200
+    # the short step takes 290 iterations on AFIRO, within the default
+    # max_iter, SolverConfig's
     code = main(["solve", str(NETLIB / "afiro.mps"), "--start-file", str(NETLIB / "afiro.start"),
                  "--algorithm", "shortstep"])
     assert code == EXIT_OK
     assert "iterations       290" in capsys.readouterr().out.splitlines()
+
+
+def test_solve_restarts_from_its_own_final_iterate(tmp_path, capsys):
+    # a start passes the step's own neighborhood test, so AFIRO's final
+    # iterate, written as a start, is accepted again
+    lp, _ = to_standard_form(parse_mps((NETLIB / "afiro.mps").read_bytes()))
+    report = solve(lp, read_start_file(NETLIB / "afiro.start", lp.n, lp.m))
+    assert report.status == STATUS_OPTIMAL
+    write_start_file(tmp_path / "final.start", report.final)
+    code = main(["solve", str(NETLIB / "afiro.mps"), "--start-file", str(tmp_path / "final.start")])
+    assert code == EXIT_OK, capsys.readouterr().err
 
 
 def test_bench_default_max_iter_covers_shortstep_on_afiro(capsys):

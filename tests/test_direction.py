@@ -10,7 +10,6 @@ from scipy.optimize import linprog
 
 from optlp.cli import read_start_file
 from optlp.direction import (
-    FactorCache,
     assemble_direction,
     build_factors,
     decompose,
@@ -47,20 +46,28 @@ def both_routes(problem):
     return [problem, blocked]
 
 
-def reflector_bases(cache):
+def reflector_bases(factors):
     """Orthonormal bases (range, null) of range(D A^T) and its complement:
-    the columns of Q, formed by applying the cached reflectors to I."""
-    n, m = cache.qr.shape
-    q = lapack.dormqr("L", "N", cache.qr, cache.tau, np.eye(n), n)[0]
+    the columns of Q, formed by applying the factor's reflectors to I."""
+    qr, tau, _ = factors
+    n, m = qr.shape
+    q = lapack.dormqr("L", "N", qr, tau, np.eye(n), n)[0]
     return q[:, :m], q[:, m:]
+
+
+def halves(dec):
+    """p_x, p_s, q_x and q_s: the x and s halves of decompose's p and q."""
+    pq, _ = dec
+    n = pq.shape[0] // 2
+    return pq[:n, 0], pq[n:, 0], pq[:n, 1], pq[n:, 1]
 
 
 def test_build_factors_unit_scaling(both_routes):
     for lp, start in both_routes:
-        cache = build_factors(lp, start)
-        assert np.allclose(cache.d, 1.0)
+        factors = build_factors(lp, start)
+        assert np.allclose(factors[2], 1.0)
         # Q1 spans range(A^T); Q2 Q2^T projects onto null(A)
-        q1, q2 = reflector_bases(cache)
+        q1, q2 = reflector_bases(factors)
         proj = q1 @ (q1.T @ lp.a.T)
         assert np.allclose(proj, lp.a.T, atol=1e-10)
         complement = q2 @ q2.T
@@ -77,18 +84,18 @@ def test_build_factors_orthonormal_and_complementary(both_routes):
         rng = np.random.default_rng(5)
         for _ in range(5):
             it = random_interior_iterate(lp, start, rng)
-            cache = build_factors(lp, it)
-            q1, q2 = reflector_bases(cache)
+            factors = build_factors(lp, it)
+            q1, q2 = reflector_bases(factors)
             assert np.max(np.abs(q1.T @ q1 - np.eye(lp.m))) <= 1e-12
             assert np.max(np.abs(q2.T @ q2 - np.eye(lp.n - lp.m))) <= 1e-12
             # an independent orthonormal basis of the scaled null space range(D^-1 Z)
-            zd, _ = np.linalg.qr(z / cache.d[:, None])
+            zd, _ = np.linalg.qr(z / factors[2][:, None])
             assert np.max(np.abs(q1.T @ zd)) <= 1e-12
             combined = zd @ zd.T + q1 @ q1.T
             assert np.max(np.abs(combined - np.eye(lp.n))) <= 1e-9
             assert np.max(np.abs(zd @ zd.T - q2 @ q2.T)) <= 1e-9
-            dec = decompose(cache, it)
-            for u in (dec.p_x, dec.q_x):
+            p_x, _, q_x, _ = halves(decompose(factors, it))
+            for u in (p_x, q_x):
                 bound = 1e-10 * np.max(np.abs(lp.a)) * np.linalg.norm(u)
                 assert np.max(np.abs(lp.a @ u)) <= bound
 
@@ -99,12 +106,12 @@ def test_blocked_route_matches_dgeqrf(both_routes):
     lp, start = both_routes[1]
     rng = np.random.default_rng(8)
     for _ in range(3):
-        cache = build_factors(lp, random_interior_iterate(lp, start, rng))
-        ref, ref_tau, _, info = lapack.dgeqrf(lp.a.T * cache.d[:, None])
+        qr, tau, d = build_factors(lp, random_interior_iterate(lp, start, rng))
+        ref, ref_tau, _, info = lapack.dgeqrf(lp.a.T * d[:, None])
         assert info == 0
-        r1, ref_r1 = np.triu(cache.qr[:lp.m]), np.triu(ref[:lp.m])
+        r1, ref_r1 = np.triu(qr[:lp.m]), np.triu(ref[:lp.m])
         assert np.linalg.norm(r1 - ref_r1) <= 1e-12 * np.linalg.norm(ref_r1)
-        assert np.linalg.norm(cache.tau - ref_tau) <= 1e-12 * np.linalg.norm(ref_tau)
+        assert np.linalg.norm(tau - ref_tau) <= 1e-12 * np.linalg.norm(ref_tau)
 
 
 def test_build_factors_ill_conditioning_error(both_routes):
@@ -119,8 +126,8 @@ def test_build_factors_ill_conditioning_error(both_routes):
             assert exc.value.index == 3
         x = start.x.copy()
         x[3] = 1e20
-        cache = build_factors(lp, Iterate(x, start.y, start.s))
-        assert np.isfinite(cache.qr).all() and np.isfinite(cache.tau).all()
+        qr, tau, _ = build_factors(lp, Iterate(x, start.y, start.s))
+        assert np.isfinite(qr).all() and np.isfinite(tau).all()
 
 
 def test_build_factors_overflow_is_ill_conditioned(both_routes):
@@ -136,9 +143,9 @@ def test_build_factors_overflow_is_ill_conditioned(both_routes):
 def test_decompose_centered_point_merges_pq(problem):
     lp, start = problem
     # x o s = mu e exactly at the built-in start
-    dec = decompose(build_factors(lp, start), start)
-    assert np.allclose(dec.q_x, dec.p_x, atol=1e-12)
-    assert np.allclose(dec.q_s, dec.p_s, atol=1e-12)
+    p_x, p_s, q_x, q_s = halves(decompose(build_factors(lp, start), start))
+    assert np.allclose(q_x, p_x, atol=1e-12)
+    assert np.allclose(q_s, p_s, atol=1e-12)
 
 
 def test_decompose_triangular_failures_are_package_errors(both_routes):
@@ -146,15 +153,15 @@ def test_decompose_triangular_failures_are_package_errors(both_routes):
     # on its diagonal is found by index, and a non-finite right-hand side
     # (here from a gap that overflowed) before the solve
     for lp, start in both_routes:
-        cache = build_factors(lp, start)
-        singular = cache.qr.copy(order="F")
+        qr, tau, d = build_factors(lp, start)
+        singular = qr.copy(order="F")
         singular[2, 2] = 0.0
         with pytest.raises(IllConditionedError) as info:
-            decompose(FactorCache(qr=singular, tau=cache.tau, d=cache.d), start)
+            decompose((singular, tau, d), start)
         assert info.value.index == 2
         overflowed = Iterate.unchecked(start.xs, start.y, math.inf, math.inf)
         with pytest.raises(IllConditionedError):
-            decompose(cache, overflowed)
+            decompose((qr, tau, d), overflowed)
 
 
 def test_decompose_two_variable_hand_case():
@@ -162,9 +169,9 @@ def test_decompose_two_variable_hand_case():
     # p_s the projection on span(1,1) -> e
     lp = StandardLp(np.array([[1.0, 1.0]]), np.array([2.0]), np.array([1.0, 1.0]))
     it = Iterate([1.0, 1.0], [0.0], [1.0, 1.0])
-    dec = decompose(build_factors(lp, it), it)
-    assert np.allclose(dec.p_x, 0.0, atol=1e-14)
-    assert np.allclose(dec.p_s, 1.0, atol=1e-14)
+    p_x, p_s, _, _ = halves(decompose(build_factors(lp, it), it))
+    assert np.allclose(p_x, 0.0, atol=1e-14)
+    assert np.allclose(p_s, 1.0, atol=1e-14)
 
 
 def test_decompose_split_identities(problem):
@@ -172,22 +179,22 @@ def test_decompose_split_identities(problem):
     rng = np.random.default_rng(6)
     for _ in range(8):
         it = random_interior_iterate(lp, start, rng)
-        dec = decompose(build_factors(lp, it), it)
+        p_x, p_s, q_x, q_s = halves(decompose(build_factors(lp, it), it))
         xs = it.x * it.s
-        assert np.allclose(it.s * dec.p_x + it.x * dec.p_s, xs, rtol=1e-10, atol=1e-12)
+        assert np.allclose(it.s * p_x + it.x * p_s, xs, rtol=1e-10, atol=1e-12)
         assert np.allclose(
-            it.s * dec.q_x + it.x * dec.q_s, np.full(lp.n, it.mu), rtol=1e-10, atol=1e-12
+            it.s * q_x + it.x * q_s, np.full(lp.n, it.mu), rtol=1e-10, atol=1e-12
         )
         # null-space / row-space membership
-        scale_x = np.linalg.norm(dec.p_x) + np.linalg.norm(dec.q_x)
-        assert np.linalg.norm(lp.a @ dec.p_x) <= 1e-9 * max(scale_x, 1e-30)
-        assert np.linalg.norm(lp.a @ dec.q_x) <= 1e-9 * max(scale_x, 1e-30)
-        for v in (dec.p_s, dec.q_s):
+        scale_x = np.linalg.norm(p_x) + np.linalg.norm(q_x)
+        assert np.linalg.norm(lp.a @ p_x) <= 1e-9 * max(scale_x, 1e-30)
+        assert np.linalg.norm(lp.a @ q_x) <= 1e-9 * max(scale_x, 1e-30)
+        for v in (p_s, q_s):
             coeffs, *_ = np.linalg.lstsq(lp.a.T, v, rcond=None)
             assert np.linalg.norm(lp.a.T @ coeffs - v) <= 1e-9 * max(np.linalg.norm(v), 1e-30)
         # cross products vanish
-        for u in (dec.p_x, dec.q_x):
-            for v in (dec.p_s, dec.q_s):
+        for u in (p_x, q_x):
+            for v in (p_s, q_s):
                 denom = max(np.linalg.norm(u) * np.linalg.norm(v), 1e-30)
                 assert abs(u @ v) <= 1e-9 * denom
 
@@ -331,20 +338,13 @@ def test_gap_identity_inner_products(problem):
 
 
 def test_step_polynomials_zero_and_scalar():
-    from optlp.direction import DirectionDecomposition
-
-    dec = DirectionDecomposition(
-        p=np.zeros(6), q=np.zeros(6), y_p=np.zeros(1), y_q=np.zeros(1)
-    )
-    sp = step_polynomials(dec, theta=0.5, mu=1.0)
+    sp = step_polynomials((np.zeros((6, 2), order="F"), np.zeros((1, 2))), theta=0.5, mu=1.0)
     assert (sp.a0, sp.a1, sp.a2, sp.a3, sp.a4) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
-    # n = 1 giving p = 2, q = 3, r = 1: coefficients must be (4, 12, 13, 6, 1)
-    dec1 = DirectionDecomposition(
-        p=np.array([2.0, 1.0]), q=np.array([1.0, 1.0]),
-        y_p=np.zeros(1), y_q=np.zeros(1),
-    )
-    sp1 = step_polynomials(dec1, theta=0.5, mu=1.0)
+    # n = 1 with (p_x, p_s) = (2, 1) and (q_x, q_s) = (1, 1), giving p = 2,
+    # q = 3, r = 1: coefficients must be (4, 12, 13, 6, 1)
+    pq = np.array([[2.0, 1.0], [1.0, 1.0]], order="F")
+    sp1 = step_polynomials((pq, np.zeros((1, 2))), theta=0.5, mu=1.0)
     assert sp1.p[0] == 2.0 and sp1.q[0] == 3.0 and sp1.r[0] == 1.0
     assert (sp1.a0, sp1.a1, sp1.a2, sp1.a3, sp1.a4) == (4.0, 12.0, 13.0, 6.0, 1.0)
 

@@ -9,7 +9,7 @@ from optlp.model import (
     Iterate,
     SolverConfig,
     StandardLp,
-    neighborhood_distance,
+    gap_and_distance,
     residuals,
     stopping_criterion,
 )
@@ -20,11 +20,12 @@ from helpers import random_interior_iterate
 
 def test_neighborhood_distance_cases():
     e = np.ones(4)
-    assert neighborhood_distance(e, e) == 0.0
-    assert neighborhood_distance([2.0, 1.0], [1.0, 2.0]) == 0.0
-    assert neighborhood_distance([1.0, 1.0], [3.0, 1.0]) == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(InvalidInputError):
-        neighborhood_distance([1.0, 0.0], [1.0, 1.0])
+    assert Iterate(e, [0.0], e).neighborhood_dist == 0.0
+    assert Iterate([2.0, 1.0], [0.0], [1.0, 2.0]).neighborhood_dist == 0.0
+    assert Iterate([1.0, 1.0], [0.0], [3.0, 1.0]).neighborhood_dist == pytest.approx(np.sqrt(2.0))
+    for x, s in (([1.0, 0.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, -1.0]), ([], [])):
+        with pytest.raises(InvalidInputError):
+            Iterate(x, [0.0], s)
 
 
 def test_neighborhood_zero_iff_constant_product():
@@ -32,14 +33,14 @@ def test_neighborhood_zero_iff_constant_product():
     for _ in range(25):
         x = rng.uniform(0.1, 3.0, size=6)
         s = rng.uniform(0.1, 3.0, size=6)
-        d = neighborhood_distance(x, s)
+        d = gap_and_distance(np.concatenate((x, s)))[1]
         if np.allclose(x * s, (x * s)[0]):
             assert d <= 1e-12
         else:
             assert d > 0.0
         # exact construction: s makes the product constant
         s_centered = 1.7 / x
-        assert neighborhood_distance(x, s_centered) <= 1e-12
+        assert gap_and_distance(np.concatenate((x, s_centered)))[1] <= 1e-12
 
 
 def test_iterate_owns_its_vectors():
@@ -55,7 +56,7 @@ def test_iterate_stacks_x_and_s():
     assert it.xs.tolist() == [1.0, 2.0, 3.0, 1.0]
     assert np.shares_memory(it.x, it.xs) and np.shares_memory(it.s, it.xs)
     assert it.x.tolist() == [1.0, 2.0] and it.s.tolist() == [3.0, 1.0]
-    assert it.neighborhood_dist == neighborhood_distance(it.x, it.s) == np.sqrt(0.5)
+    assert it.neighborhood_dist == gap_and_distance(it.xs)[1] == np.sqrt(0.5)
 
 
 def test_standard_lp_owns_its_arrays():
@@ -215,7 +216,7 @@ def test_stopping_criterion_formula():
 
 def test_solver_config_validation():
     cfg = SolverConfig()
-    assert cfg.theta == 0.99 and cfg.tol == 1e-8 and cfg.max_iter == 200
+    assert cfg.theta == 0.99 and cfg.tol == 1e-8 and cfg.max_iter == 1000
     with pytest.raises(InvalidInputError):
         SolverConfig(theta=1.0)
     with pytest.raises(InvalidInputError):
@@ -235,4 +236,4 @@ def test_random_interior_iterates_are_member_points():
         it = random_interior_iterate(lp, start, rng)
         pr, dr = residuals(lp, it)
         assert pr <= 1e-12 and dr <= 1e-12
-        assert neighborhood_distance(it.x, it.s) <= 0.99 * it.mu
+        assert gap_and_distance(it.xs)[1] <= 0.99 * it.mu

@@ -1,13 +1,16 @@
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from optlp.cli import read_start_file
 from optlp.direction import assemble_direction, build_factors, decompose
 from optlp.errors import InvalidInputError, NoFeasibleStepError
-from optlp.model import Iterate, SolverConfig, StandardLp, neighborhood_distance, residuals
+from optlp.model import Iterate, SolverConfig, StandardLp, residuals
+from optlp.mps import parse_mps, to_standard_form
 from optlp.solver import (
     SHORTSTEP_THETA,
     STATUS_BREAKDOWN,
@@ -25,13 +28,15 @@ from optlp.stepsel import CandidatePair
 
 from helpers import synthetic_family
 
+NETLIB = Path(__file__).parent / "data" / "netlib"
+
 
 def test_generate_synthetic_contract():
     lp, start = generate_synthetic(12, 5, seed=123)
     pr, dr = residuals(lp, start)
     assert pr <= 1e-14 and dr <= 1e-14
     assert start.mu == 1.0
-    assert neighborhood_distance(start.x, start.s) == 0.0
+    assert start.neighborhood_dist == 0.0
 
     lp2, start2 = generate_synthetic(12, 5, seed=123)
     assert np.array_equal(lp.a, lp2.a)
@@ -157,6 +162,27 @@ def test_overflowing_start_has_no_interior_start():
         it = Iterate([1e200, 1e200], [0.0], [1e200, 1e200])
         assert residuals(lp, it) == (0.0, 0.0) and math.isinf(it.mu)
         assert solve(lp, it).status == STATUS_NO_START
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_start_is_rejected_without_a_warning():
+    # A x overflows: the primal residual reads NaN without a RuntimeWarning
+    # from the product, and the start is rejected
+    lp, start = generate_synthetic(14, 6, seed=77)
+    it = Iterate(np.full(lp.n, 1e7), start.y, np.full(lp.n, 1e-7))
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = StandardLp(lp.a * 1e305, lp.b * 1e305, lp.c * 1e305)
+    assert math.isnan(residuals(big, it)[0])
+    assert solve(big, it).status == STATUS_NO_START
+
+
+def test_shortstep_default_config_solves_afiro():
+    # SolverConfig's default max_iter, which the command line shares, covers
+    # the short step's 290 iterations on AFIRO
+    lp, _ = to_standard_form(parse_mps((NETLIB / "afiro.mps").read_bytes()))
+    report = solve_shortstep_baseline(lp, read_start_file(NETLIB / "afiro.start", lp.n, lp.m))
+    assert report.status == STATUS_OPTIMAL
+    assert report.iteration_count == 290
 
 
 def test_solve_observer_sees_every_iteration():
