@@ -32,13 +32,11 @@ reflectors, R1 and tau, so in the same dormqr applications. The dual
 direction comes from R1 y = c1, solved by dtrtrs on the leading m x m block
 of the factor where it lies, without a copy.
 
-Each layer hands the next the arrays it built, with no wrapper:
-:func:`build_factors` returns (qr, tau, d), and :func:`decompose` returns
-(pq, y). The x and s parts of the direction are held stacked, as x and s
-are in :class:`~optlp.model.Iterate`, from :func:`decompose` to the step:
-p = (p_x; p_s) and q = (q_x; q_s) are the two columns of the Fortran-order
-(2n, 2) array pq, and y_p and y_q those of the (m, 2) array y that dtrtrs
-leaves. :func:`step_polynomials` reads the halves of pq's columns, and
+Each layer hands the next the arrays it built: :func:`build_factors`
+returns (qr, tau, d) and :func:`decompose` returns (pq, y). The x and s
+parts of the direction are held stacked, as x and s are in
+:class:`~optlp.model.Iterate`, from :func:`decompose` to the step: p =
+(p_x; p_s) and q = (q_x; q_s) are the two columns of pq, and
 :func:`assemble_direction` gives (dx; ds) = p - sigma q in one pass over 2n
 entries, which the step subtracts from (x; s) as it is.
 """

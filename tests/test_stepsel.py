@@ -7,8 +7,8 @@ from hypothesis import assume, given, strategies as st
 
 from optlp.direction import StepPolynomials, build_factors, decompose, step_polynomials
 from optlp.errors import DegenerateInputError, InvalidInputError, NoFeasibleStepError
-from optlp.model import Iterate, SolverConfig
-from optlp.solver import generate_synthetic, safeguarded_step
+from optlp.model import Iterate, SolverConfig, StandardLp
+from optlp.solver import STATUS_OPTIMAL, generate_synthetic, safeguarded_step, solve
 from optlp.stepsel import (
     CandidatePair,
     eval_f,
@@ -359,8 +359,10 @@ def test_select_step_matches_extended_precision_oracle():
     to relative 1e-12, against the 50-digit one-variable oracle; the oracle is
     itself checked against a float64 sample of 10^5 sigmas. The chosen pair is
     admissible at 50 digits up to the rounding of a float64 root."""
-    # live polynomials only ever give f_root_alpha1; the realizable batch and
-    # the last case (h > theta^2 sigma^2, so f(., 1) has no root) give g_root
+    # polynomials harvested at random iterates only ever give f_root_alpha1
+    # (the one live g_root step is test_live_solve_takes_a_g_root_step's);
+    # the realizable batch and the last case (h > theta^2 sigma^2, so f(., 1)
+    # has no root) give g_root
     cases = (harvested_polynomials(25) + realizable_polynomials(60)
              + [make_sp(1.0, 0.0, 2.0, 0.0, 1.0, theta=0.9)])
     origins = set()
@@ -378,6 +380,30 @@ def test_select_step_matches_extended_precision_oracle():
             f = h - (mpmath.mpf(sp.theta) * sp.mu * sigma / alpha) ** 2
             assert f <= 1e-14 * (sp.a0 + (sp.theta * sp.mu) ** 2)
     assert {"f_root_alpha1", "g_root"} <= origins
+
+
+# An LP and start, n = 4, m = 2, from tools/find_g_root_case.py (seed 0):
+# the start lies just inside the theta = 0.7 neighborhood, with y = 0,
+# b = A x and c = s
+G_ROOT_A = [[0.16210339, -0.32808343, 0.46377585, 0.083694697],
+            [0.019377321, -1.1445052, 1.7112299, 0.30188392]]
+G_ROOT_X = [0.038777368, 0.46389292, 90.846808, 1.1815073]
+G_ROOT_S = [11.062421, 2.979154, 0.0120026, 0.92984784]
+
+
+def test_live_solve_takes_a_g_root_step():
+    """A live solve whose first step is a g root, which predicts the least
+    gap over the admissible set against the 50-digit oracle, and which the
+    solve goes on from to the optimum."""
+    a, x, s = (np.array(v) for v in (G_ROOT_A, G_ROOT_X, G_ROOT_S))
+    steps = []
+    report = solve(StandardLp(a, a @ x, s), Iterate(x, np.zeros(2), s), SolverConfig(theta=0.7),
+                   observer=lambda k, it, dec, sp, pair: steps.append((sp, pair)))
+    assert report.status == STATUS_OPTIMAL
+    sp, pair = steps[0]
+    assert pair.origin == report.iterations[0].origin == "g_root"
+    phi, _ = mp_best_step(sp)
+    assert pair.predicted_mu / sp.mu == pytest.approx(float(phi), rel=1e-12)
 
 
 def test_poly_builders_match_definitions():
