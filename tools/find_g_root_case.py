@@ -20,7 +20,7 @@ m = 2 and theta = 0.7:
   the f root predicts a smaller gap, which only a g root can give.
 
 Each restart draws a new point from the seeded generator. The first point
-found is rounded to 8 significant digits and solved from scratch by
+found is rounded to 8 significant digits and solved anew by
 ``optlp.solve``; it is printed, with its first step, when that step is a
 ``g_root`` pair and the solve ends ``optimal``. Run it from the root of a
 checkout:
