@@ -46,10 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import IllConditionedError, InvalidInputError
-from .linalg import householder_qr
+from .linalg import householder_qr, lapack
 from .model import Iterate, StandardLp
 
 

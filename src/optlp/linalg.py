@@ -32,12 +32,29 @@ The cost is that of the blocked QR, 2nm^2 - 2m^3/3 flops mostly in level-3
 BLAS, plus dgeqp3 on an m x m matrix, against dgeqp3 on the whole n x m
 A^T, half of whose flops are matrix-vector products. The extra memory is
 the n x m copy, freed before dgeqp3 runs, and R.
+
+:data:`lapack` is the one handle on LAPACK in the package: scipy's f2py
+extension module ``scipy.linalg._flapack``, the very object whose routines
+``scipy.linalg.lapack`` re-exports, so every call and every bit are those
+of scipy's wrappers. It is loaded from its file, found under the ``scipy``
+package's search locations, and not imported by name, because naming it
+runs ``scipy/linalg/__init__.py`` first: with scipy 1.17 that package
+import pulls in numpy.f2py, numpy.testing, numpy.ma and numpy.random
+(through ``scipy._lib.array_api_compat``) and takes about 0.25 s, against
+about 0.1 s for the rest of ``import optlp.cli`` (``python -X importtime``
+on a 2-core Xeon). A scipy whose package
+directory holds no such file, such as an editable install, gets
+``scipy.linalg.lapack`` by its package import instead.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+from types import ModuleType
+
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import IllConditionedError, InvalidInputError
 
@@ -47,6 +64,29 @@ DEFAULT_RANK_TOL = 1e-12
 # matrix, and below it dgeqrf: the measured crossover (module docstring)
 BLOCKED_QR_MIN_ROWS = 64
 BLOCKED_QR_NB = 32
+
+
+def _load_flapack(scipy_dirs) -> ModuleType:
+    """``scipy.linalg._flapack`` from the first of ``scipy_dirs`` (the
+    ``scipy`` package's directories) that holds it, without importing
+    ``scipy.linalg``; ImportError where none does."""
+    name = "scipy.linalg._flapack"
+    for scipy_dir in scipy_dirs or ():
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy_dir, "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no {name} extension file under {scipy_dirs}", name=name)
+
+
+try:
+    lapack = _load_flapack(importlib.util.find_spec("scipy").submodule_search_locations)
+except ImportError:
+    from scipy.linalg import lapack
 
 
 def as_matrix(mat) -> np.ndarray:

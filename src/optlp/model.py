@@ -44,7 +44,7 @@ def gap_and_distance(xs: np.ndarray) -> tuple[float, float]:
     """
     n = xs.shape[0] // 2
     x, s = xs[:n], xs[n:]
-    mu = float(x @ s) / n
+    mu = float(np.dot(x, s)) / n
     return mu, norm(x * s - mu) if mu < math.inf else math.nan
 
 
@@ -224,11 +224,11 @@ def residuals(lp: StandardLp, it: Iterate) -> tuple[float, float]:
             f"match problem (n={lp.n}, m={lp.m})"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        primal, dual = lp.a @ it.x - lp.b, lp.a.T @ it.y + it.s - lp.c
+        primal, dual = np.dot(lp.a, it.x) - lp.b, np.dot(lp.a.T, it.y) + it.s - lp.c
     return norm(primal) / lp.b_scale, norm(dual) / lp.c_scale
 
 
 def stopping_criterion(lp: StandardLp, it: Iterate, tol: float) -> bool:
     """mu / max{1, |c.x|, |b.y|} < tol."""
-    scale = max(1.0, abs(float(lp.c @ it.x)), abs(float(lp.b @ it.y)))
+    scale = max(1.0, abs(float(np.dot(lp.c, it.x))), abs(float(np.dot(lp.b, it.y))))
     return it.mu / scale < tol

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .direction import (
     assemble_direction,
@@ -297,7 +296,13 @@ def heuristic_start(lp: StandardLp) -> Iterate | None:
     neighborhood only on well-centered problems, and the solvers' start
     check decides whether it does. Failure is a value so callers can fall
     back to a supplied start.
+
+    The first call imports ``scipy.linalg`` for its ``lstsq``, which takes
+    about 0.25 s (the :mod:`optlp.linalg` docstring says why); a solve from a
+    start file never pays it.
     """
+    import scipy.linalg
+
     e = np.ones(lp.n)
     x = e + scipy.linalg.lstsq(lp.a, lp.b - lp.a @ e)[0]  # minimum-norm correction
     y = scipy.linalg.lstsq(lp.a.T, lp.c - e)[0]

@@ -118,14 +118,14 @@ def _bracketed_root(coeffs, deriv, lo: float, hi: float, f_lo: float) -> float:
     return x
 
 
-def _unit_roots(coeffs) -> list[float]:
-    """Sorted roots in (0, 1) of the polynomial with ``coeffs`` (highest
-    degree first).
+def _unit_roots(coeffs, hi: float) -> list[float]:
+    """Sorted roots in (0, hi) of the polynomial with ``coeffs`` (highest
+    degree first), 0 < hi <= 1.
 
-    The roots of p' split [0, 1] into pieces on which p is monotone, so each
-    piece whose ends differ in sign brackets exactly one root. A knot where
-    p is indistinguishable from zero is a root itself (a double root, where
-    p touches zero, has no sign change to bracket).
+    The roots of p' split [0, hi] into pieces on which p is monotone, so
+    each piece whose ends differ in sign brackets exactly one root. A knot
+    where p is indistinguishable from zero is a root itself (a double root,
+    where p touches zero, has no sign change to bracket).
     """
     degree = len(coeffs) - 1
     if degree < 1:
@@ -133,26 +133,26 @@ def _unit_roots(coeffs) -> list[float]:
     deriv = [c * (degree - i) for i, c in enumerate(coeffs[:-1])]
     roots = []
     x0, f0 = 0.0, _resolved(coeffs, 0.0)
-    for x1 in _unit_roots(deriv) + [1.0]:
+    for x1 in _unit_roots(deriv, hi) + [hi]:
         f1 = _resolved(coeffs, x1)
         if f0 < 0.0 < f1 or f1 < 0.0 < f0:
             roots.append(_bracketed_root(coeffs, deriv, x0, x1, f0))
-        elif f1 == 0.0 and x1 < 1.0:
+        elif f1 == 0.0 and x1 < hi:
             roots.append(x1)
         x0, f0 = x1, f1
     return roots
 
 
-def real_roots_in_open_unit(coeffs) -> list[float]:
-    """Sorted real roots strictly inside (0, 1), a double root once, of the
+def real_roots_in_open_unit(coeffs, hi: float = 1.0) -> list[float]:
+    """Sorted real roots strictly inside (0, hi), a double root once, of the
     polynomial whose coefficients, highest degree first, are the sequence
-    ``coeffs``. Only signs of the polynomial and its derivatives are
-    compared, so the result does not depend on the scale of the
-    coefficients."""
+    ``coeffs``; 0 < hi <= 1. Only signs of the polynomial and its
+    derivatives are compared, so the result does not depend on the scale
+    of the coefficients."""
     if not any(coeffs):
         raise DegenerateInputError("all polynomial coefficients are zero")
-    # a bracket against 0 or 1 with no float inside it ends on that bound
-    return [x for x in _unit_roots(coeffs) if 0.0 < x < 1.0]
+    # a bracket against 0 or hi with no float inside it ends on that bound
+    return [x for x in _unit_roots(coeffs, hi) if 0.0 < x < hi]
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,12 @@ def select_step(sp: StepPolynomials) -> CandidatePair:
        predicts mu itself and wins only when float64 finds no other
        candidate: with a0 > 0, g(0) = -2 a0 < 0 <= 2 h(1) = g(1).
 
+       Where item 2 found a root sigma_f, g is searched on (0, sigma_f)
+       alone and the endpoint is skipped: a pair with alpha <= 1 predicts
+       mu (1 - alpha (1 - sigma)) >= sigma mu, so no sigma >= sigma_f
+       predicts below the f root's sigma_f mu, and a tie goes to the f
+       root.
+
     The set is complete: for fixed sigma the best alpha is min(1, theta mu
     sigma / sqrt(h(sigma))), with which the predicted gap rises with sigma
     where alpha = 1 and is stationary elsewhere only at roots of g. Ties are
@@ -188,11 +194,14 @@ def select_step(sp: StepPolynomials) -> CandidatePair:
     if math.sqrt(max(sp.a0, 0.0)) <= A0_ZERO_REL_TOL * sp.mu * math.sqrt(n):
         return CandidatePair(sigma=0.0, alpha=1.0, predicted_mu=0.0, origin="a0_zero")
 
-    candidates: list[CandidatePair] = []
     f_roots = real_roots_in_open_unit(f_alpha1_poly(sp))
     if f_roots:
-        candidates.append(_pair(sp, f_roots[0], 1.0, "f_root_alpha1"))
-    for sigma in real_roots_in_open_unit(g_poly(sp)) + [1.0]:
+        candidates = [_pair(sp, f_roots[0], 1.0, "f_root_alpha1")]
+        sigmas = real_roots_in_open_unit(g_poly(sp), f_roots[0])
+    else:
+        candidates = []
+        sigmas = real_roots_in_open_unit(g_poly(sp)) + [1.0]
+    for sigma in sigmas:
         h = eval_h(sp, sigma)
         alpha = 1.0 if h <= 0.0 else min(1.0, sp.theta * sp.mu * sigma / math.sqrt(h))
         candidates.append(_pair(sp, sigma, alpha, "g_root" if sigma < 1.0 else "sigma_one"))

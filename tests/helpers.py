@@ -11,11 +11,26 @@ null-space / row-space perturbations.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 
+import optlp
 from optlp.model import Iterate
 from optlp.solver import generate_synthetic
+
+# the directory this suite imports optlp from
+SRC = Path(optlp.__file__).resolve().parent.parent
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` that imports optlp from SRC."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
 def dense_kkt_direction(a, x, s, sigma):

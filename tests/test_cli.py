@@ -18,6 +18,8 @@ from optlp.cli import (
 from optlp.mps import format_mps, from_standard_lp, parse_mps, to_standard_form
 from optlp.solver import STATUS_OPTIMAL, generate_synthetic, solve
 
+from helpers import run_python
+
 NETLIB = Path(__file__).parent / "data" / "netlib"
 
 # the head of an ELF executable: not UTF-8
@@ -458,3 +460,17 @@ def test_bench_csv_to_file(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 4
     assert [l.split(",")[0] for l in lines[1:]] == ["p1", "p2", "p3"]
+
+
+def test_solve_as_a_process_prints_the_in_process_report(capsys):
+    # in-process tests cannot see what a process imports, as other test
+    # modules import scipy.linalg; -X importtime lists every import on stderr
+    argv = ["solve", str(NETLIB / "afiro.mps"), "--start-file", str(NETLIB / "afiro.start"),
+            "--output", "json"]
+    done = run_python("-X", "importtime", "-m", "optlp.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "optlp.linalg" in imported and "scipy.linalg" not in imported

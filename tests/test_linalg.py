@@ -1,8 +1,49 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from optlp import linalg
 from optlp.linalg import DEFAULT_RANK_TOL, rank_reveal
+
+from helpers import SRC, run_python
+
+
+def python_output(code: str, *args: str) -> str:
+    done = run_python("-c", code, *args)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_package_leaves_scipy_linalg_unimported():
+    out = python_output("import sys, optlp, optlp.cli\n"
+                        "print('scipy.linalg' in sys.modules, optlp.linalg.lapack.__name__)")
+    assert out.split() == ["False", "scipy.linalg._flapack"]
+
+
+def test_every_lapack_routine_called_is_scipys_own():
+    called = {name for path in (SRC / "optlp").glob("*.py")
+              for name in re.findall(r"\blapack\.(\w+)\(", path.read_text())}
+    assert called >= {"dgeqrf", "dgeqrf_lwork", "dgeqrt", "dgeqp3", "dormqr", "dtrtrs"}
+    for name in called:
+        assert getattr(linalg.lapack, name) is getattr(scipy.linalg.lapack, name)
+
+
+def test_missing_extension_file_falls_back_to_scipy_linalg(tmp_path):
+    with pytest.raises(ImportError):
+        linalg._load_flapack([str(tmp_path)])
+    # the scipy package reports a directory without the extension file
+    out = python_output(
+        "import importlib.util, sys, types\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *rest: (\n"
+        "    types.SimpleNamespace(submodule_search_locations=[sys.argv[1]])\n"
+        "    if name == 'scipy' else find_spec(name, *rest))\n"
+        "import numpy as np, optlp, scipy.linalg\n"
+        "print(optlp.linalg.lapack is scipy.linalg.lapack, optlp.linalg.rank_reveal(np.eye(3))[0])",
+        str(tmp_path))
+    assert out.split() == ["True", "3"]
 
 
 def test_rank_reveal_duplicated_row():

@@ -147,6 +147,14 @@ def test_roots_excludes_boundary_and_outside():
     assert roots[0] == pytest.approx(0.75, abs=1e-12)
 
 
+def test_roots_below_an_upper_end():
+    poly = poly_from_roots([0.2, 0.5, 0.8, 2.0])
+    assert real_roots_in_open_unit(poly) == pytest.approx([0.2, 0.5, 0.8], abs=1e-12)
+    assert real_roots_in_open_unit(poly, 0.6) == pytest.approx([0.2, 0.5], abs=1e-12)
+    assert real_roots_in_open_unit(poly, 0.5) == pytest.approx([0.2], abs=1e-12)
+    assert real_roots_in_open_unit(poly, 0.1) == []
+
+
 def test_roots_degenerate_degrees():
     # leading zeros: cubic, quadratic, linear, constant
     assert real_roots_in_open_unit((0.0, 1.0, -0.9, 0.08, 0.0)) == pytest.approx(
@@ -379,6 +387,40 @@ def test_select_step_matches_extended_precision_oracle():
                     enumerate((sp.a0, -sp.a1, sp.a2, -sp.a3, sp.a4)))
             f = h - (mpmath.mpf(sp.theta) * sp.mu * sigma / alpha) ** 2
             assert f <= 1e-14 * (sp.a0 + (sp.theta * sp.mu) ** 2)
+    assert {"f_root_alpha1", "g_root"} <= origins
+
+
+def unpruned_select_step(sp):
+    """select_step with g searched on all of (0, 1) and the endpoint sigma =
+    1 always a candidate, as before the search stopped at the f root."""
+    def pair(sigma, alpha, origin):
+        return CandidatePair(sigma, alpha, sp.mu * (1.0 - alpha * (1.0 - sigma)), origin)
+
+    candidates = [pair(sigma, 1.0, "f_root_alpha1")
+                  for sigma in real_roots_in_open_unit(f_alpha1_poly(sp))[:1]]
+    for sigma in real_roots_in_open_unit(g_poly(sp)) + [1.0]:
+        h = eval_h(sp, sigma)
+        alpha = 1.0 if h <= 0.0 else min(1.0, sp.theta * sp.mu * sigma / math.sqrt(h))
+        candidates.append(pair(sigma, alpha, "g_root" if sigma < 1.0 else "sigma_one"))
+    return min(candidates, key=lambda cp: (cp.predicted_mu, -cp.alpha, cp.sigma))
+
+
+def test_search_below_the_f_root_loses_no_winner():
+    """No g root at or above the f root, nor sigma = 1, can win (select_step's
+    docstring), so the pruned search picks the unpruned search's pair."""
+    a, x, s = (np.array(v) for v in (G_ROOT_A, G_ROOT_X, G_ROOT_S))
+    live = []
+    solve(StandardLp(a, a @ x, s), Iterate(x, np.zeros(2), s), SolverConfig(theta=0.7),
+          observer=lambda k, it, dec, sp, pair: live.append(sp))
+    origins = set()
+    for sp in harvested_polynomials(25) + realizable_polynomials(400) + live:
+        pair, unpruned = select_step(sp), unpruned_select_step(sp)
+        origins.add(pair.origin)
+        # the pruned search ends a g root's last bracket at the f root, not
+        # at 1, so a winning g root may be refined to a neighbouring float
+        assert pair.origin == unpruned.origin
+        assert (pair.sigma, pair.alpha, pair.predicted_mu) == pytest.approx(
+            (unpruned.sigma, unpruned.alpha, unpruned.predicted_mu), rel=1e-12)
     assert {"f_root_alpha1", "g_root"} <= origins
 
 
