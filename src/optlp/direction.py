@@ -33,7 +33,10 @@ direction comes from R1 y = c1, solved by dtrtrs on the leading m x m block
 of the factor where it lies, without a copy.
 
 Each layer hands the next the arrays it built: :func:`build_factors`
-returns (qr, tau, d) and :func:`decompose` returns (pq, y). The x and s
+returns (qr, tau, d) and :func:`decompose` returns (pq, y).
+:func:`step_polynomials` returns the step quartic h as a tuple of five
+floats, highest degree first, which is how :mod:`optlp.stepsel` holds f(., 1)
+and g as well. The x and s
 parts of the direction are held stacked, as x and s are in
 :class:`~optlp.model.Iterate`, from :func:`decompose` to the step: p =
 (p_x; p_s) and q = (q_x; q_s) are the two columns of pq, and
@@ -43,38 +46,11 @@ entries, which the step subtracts from (x; s) as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IllConditionedError, InvalidInputError
 from .linalg import householder_qr, lapack
 from .model import Iterate, StandardLp
-
-
-@dataclass(frozen=True)
-class StepPolynomials:
-    """Coefficients of the step-feasibility quartic at one iterate.
-
-    With p = p_x o p_s, q = q_x o p_s + p_x o q_s, r = q_x o q_s:
-
-        || p - sigma q + sigma^2 r ||^2
-            = a4 s^4 - a3 s^3 + a2 s^2 - a1 s + a0   (s = sigma)
-
-    theta and mu are frozen alongside so the feasibility function
-    f(sigma, alpha) is self-contained.
-    """
-
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    theta: float
-    mu: float
-    p: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
 
 
 def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,24 +124,15 @@ def assemble_direction(dec, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return pq[:, 0] - sigma * pq[:, 1], -(y[:, 0] - sigma * y[:, 1])
 
 
-def step_polynomials(dec, theta: float, mu: float) -> StepPolynomials:
-    """Quartic coefficients of ||dx(sigma) o ds(sigma)||^2, from
-    :func:`decompose`'s (pq, y)."""
+def step_polynomials(dec) -> tuple[float, float, float, float, float]:
+    """The step quartic h(sigma) = ||p - sigma q + sigma^2 r||^2, from
+    :func:`decompose`'s (pq, y), as its coefficients highest degree first,
+    where p = p_x o p_s, q = q_x o p_s + p_x o q_s and r = q_x o q_s."""
     pq, _ = dec
     n = pq.shape[0] // 2
     (p_x, q_x), (p_s, q_s) = pq[:n].T, pq[n:].T
     p = p_x * p_s
     q = q_x * p_s + p_x * q_s
     r = q_x * q_s
-    return StepPolynomials(
-        a0=float(p @ p),
-        a1=2.0 * float(q @ p),
-        a2=2.0 * float(p @ r) + float(q @ q),
-        a3=2.0 * float(q @ r),
-        a4=float(r @ r),
-        theta=theta,
-        mu=mu,
-        p=p,
-        q=q,
-        r=r,
-    )
+    return (float(r @ r), -2.0 * float(q @ r), 2.0 * float(p @ r) + float(q @ q),
+            -2.0 * float(q @ p), float(p @ p))

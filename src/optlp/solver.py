@@ -181,8 +181,8 @@ def _exact_step(it: Iterate, direction: tuple[np.ndarray, np.ndarray]) -> Iterat
 def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
              observer=None) -> SolveReport:
     """The loop of both algorithms. ``choose(dec, it)`` is the step rule: it
-    returns the pair to take from ``it`` and the step polynomials it used,
-    or None for them. Every pair goes through :func:`safeguarded_step`; an
+    returns the pair to take from ``it`` and the step quartic h it used, or
+    None for it. Every pair goes through :func:`safeguarded_step`; an
     ``a0_zero`` pair tries the exact Newton step first.
     """
     reason = _start_rejected(lp, start, cfg.theta)
@@ -199,9 +199,9 @@ def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
     for k in range(1, cfg.max_iter + 1):
         try:
             dec = decompose(build_factors(lp, it), it)
-            pair, polys = choose(dec, it)
+            pair, h = choose(dec, it)
             if observer is not None:
-                observer(k, it, dec, polys, pair)
+                observer(k, it, dec, h, pair)
             direction = assemble_direction(dec, pair.sigma)
             exact = _exact_step(it, direction) if pair.origin == "a0_zero" else None
             if exact is not None:
@@ -234,15 +234,16 @@ def solve(
     ``start`` must be strictly positive, feasible to ~1e-8 and inside the
     theta-neighborhood; otherwise the report comes back with status
     ``no_interior_start``. ``observer``, when given, is called once per
-    iteration with (k, iterate, dec, polynomials, pair) before the step is
-    applied, where dec is the (pq, y) pair of
-    :func:`~optlp.direction.decompose`; tests use it to harvest live data.
+    iteration with (k, iterate, dec, h, pair) before the step is applied,
+    where dec is the (pq, y) pair of :func:`~optlp.direction.decompose` and
+    h the coefficient tuple of :func:`~optlp.direction.step_polynomials`;
+    tests use it to harvest live data.
     """
     cfg = cfg if cfg is not None else SolverConfig()
 
     def choose(dec, it):
-        sp = step_polynomials(dec, cfg.theta, it.mu)
-        return select_step(sp), sp
+        h = step_polynomials(dec)
+        return select_step(h, cfg.theta, it.mu, lp.n), h
 
     return _iterate(lp, start, cfg, choose, observer)
 
@@ -289,24 +290,20 @@ def generate_synthetic(n: int, m: int, seed: int) -> tuple[StandardLp, Iterate]:
 
 
 def heuristic_start(lp: StandardLp) -> Iterate | None:
-    """Cheap least-squares starting point; None when x or s is not positive.
+    """Cheap least-squares starting point; None unless x and s are finite
+    and positive.
 
     x is the point of {Ax = b} closest to e, and y pulls s = c - A^T y as
     close to e as the row space allows. Deliberately weak: it lies in the
     neighborhood only on well-centered problems, and the solvers' start
     check decides whether it does. Failure is a value so callers can fall
-    back to a supplied start.
-
-    The first call imports ``scipy.linalg`` for its ``lstsq``, which takes
-    about 0.25 s (the :mod:`optlp.linalg` docstring says why); a solve from a
-    start file never pays it.
+    back to a supplied start. A row sum of A that overflows gives None too.
     """
-    import scipy.linalg
-
     e = np.ones(lp.n)
-    x = e + scipy.linalg.lstsq(lp.a, lp.b - lp.a @ e)[0]  # minimum-norm correction
-    y = scipy.linalg.lstsq(lp.a.T, lp.c - e)[0]
-    s = lp.c - lp.a.T @ y
-    if np.min(x) <= 0.0 or np.min(s) <= 0.0:
+    with np.errstate(all="ignore"):
+        x = e + np.linalg.lstsq(lp.a, lp.b - lp.a @ e, rcond=None)[0]  # minimum-norm correction
+        y = np.linalg.lstsq(lp.a.T, lp.c - e, rcond=None)[0]
+        s = lp.c - lp.a.T @ y
+    if not (np.isfinite(x).all() and np.isfinite(s).all() and x.min() > 0.0 and s.min() > 0.0):
         return None
     return Iterate(x, y, s)

@@ -4,21 +4,22 @@ Each iteration minimizes the predicted duality gap mu*(1 - alpha*(1 - sigma))
 subject to staying in the central-path neighborhood, which reduces to the
 quartic inequality
 
-    f(sigma, alpha) = a4 s^4 - a3 s^3 + (a2 - theta^2 mu^2 / alpha^2) s^2
-                      - a1 s + a0 <= 0        (s = sigma).
+    f(sigma, alpha) = h(sigma) - (theta mu sigma / alpha)^2 <= 0,
 
-The minimizers are found among: the smallest root of f(sigma, 1) in (0,1)
-paired with alpha = 1, the roots of the stationarity quartic
+where h(sigma) = ||p - sigma q + sigma^2 r||^2 = h0 s^4 + h1 s^3 + h2 s^2
++ h3 s + h4 (s = sigma) is the step quartic of
+:func:`optlp.direction.step_polynomials`. The minimizers are found among:
+the smallest root of f(sigma, 1) in (0,1) paired with alpha = 1, the roots
+of the stationarity quartic
 
-    g(sigma) = (2 a4 - a3) s^4 + (2 a2 - a3) s^3 - 3 a1 s^2
-               + (4 a0 + a1) s - 2 a0
+    g(sigma) = (2 h0 + h1) s^4 + (2 h2 + h1) s^3 + 3 h3 s^2
+               + (4 h4 - h3) s - 2 h4
 
-each paired with alpha = theta mu sigma / sqrt(h(sigma)), where
-h(sigma) = a4 s^4 - a3 s^3 + a2 s^2 - a1 s + a0, and the endpoint sigma = 1.
-Only roots in (0, 1) matter: the roots of each quartic's derivatives cut
-[0, 1] into pieces on which it is monotone, and each sign change is refined
-by safeguarded Newton-bisection. A polynomial is passed as the sequence of
-its coefficients, highest degree first.
+each paired with alpha = theta mu sigma / sqrt(h(sigma)), and the endpoint
+sigma = 1. Only roots in (0, 1) matter: the roots of each quartic's
+derivatives cut [0, 1] into pieces on which it is monotone, and each sign
+change is refined by safeguarded Newton-bisection. h, f(., 1) and g are
+all tuples of their coefficients, highest degree first.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError, InvalidInputError
-from .direction import StepPolynomials
+from .errors import DegenerateInputError
 
 # ||p|| / (mu sqrt(n)) at or below this selects the exact Newton step
 A0_ZERO_REL_TOL = 1e-12
@@ -43,30 +43,14 @@ class CandidatePair:
     origin: str  # a0_zero | f_root_alpha1 | g_root | sigma_one | shortstep
 
 
-def eval_f(sp: StepPolynomials, sigma: float, alpha: float) -> float:
-    """Neighborhood-feasibility quartic; the pair is admissible iff <= 0."""
-    if alpha <= 0.0:
-        raise InvalidInputError(f"alpha must be positive, got {alpha}")
-    c2 = sp.a2 - (sp.theta * sp.mu / alpha) ** 2
-    return _horner((sp.a4, -sp.a3, c2, -sp.a1, sp.a0), sigma)[0]
+def f_alpha1_poly(h, theta: float, mu: float) -> tuple[float, ...]:
+    """f(., 1) = h - (theta mu sigma)^2 from the step quartic h."""
+    return (h[0], h[1], h[2] - (theta * mu) ** 2, h[3], h[4])
 
 
-def eval_h(sp: StepPolynomials, sigma: float) -> float:
-    """|| p - sigma q + sigma^2 r ||^2 expressed through the coefficients."""
-    return _horner((sp.a4, -sp.a3, sp.a2, -sp.a1, sp.a0), sigma)[0]
-
-
-def f_alpha1_poly(sp: StepPolynomials) -> tuple[float, ...]:
-    """f(sigma, 1) as the coefficients of a quartic in sigma, highest
-    degree first."""
-    return (sp.a4, -sp.a3, sp.a2 - (sp.theta * sp.mu) ** 2, -sp.a1, sp.a0)
-
-
-def g_poly(sp: StepPolynomials) -> tuple[float, ...]:
-    """Coefficients, highest degree first, of the stationarity quartic whose
-    roots yield interior candidate pairs."""
-    return (2.0 * sp.a4 - sp.a3, 2.0 * sp.a2 - sp.a3, -3.0 * sp.a1,
-            4.0 * sp.a0 + sp.a1, -2.0 * sp.a0)
+def g_poly(h) -> tuple[float, ...]:
+    """The stationarity quartic g from the step quartic h."""
+    return (2.0 * h[0] + h[1], 2.0 * h[2] + h[1], 3.0 * h[3], 4.0 * h[4] - h[3], -2.0 * h[4])
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +143,26 @@ def real_roots_in_open_unit(coeffs, hi: float = 1.0) -> list[float]:
 # step selection
 
 
-def _pair(sp: StepPolynomials, sigma: float, alpha: float, origin: str) -> CandidatePair:
-    predicted = sp.mu * (1.0 - alpha * (1.0 - sigma))
-    return CandidatePair(sigma=sigma, alpha=alpha, predicted_mu=predicted, origin=origin)
+def _pair(mu: float, sigma: float, alpha: float, origin: str) -> CandidatePair:
+    return CandidatePair(sigma, alpha, mu * (1.0 - alpha * (1.0 - sigma)), origin)
 
 
-def select_step(sp: StepPolynomials) -> CandidatePair:
-    """Choose the (sigma, alpha) pair minimizing the predicted duality gap.
+def select_step(h, theta: float, mu: float, n: int) -> CandidatePair:
+    """Choose the (sigma, alpha) pair minimizing the predicted duality gap,
+    from the step quartic ``h`` of an iterate with gap ``mu`` and ``n``
+    variables in the ``theta``-neighborhood.
 
     Candidate sources, in the order they are gathered:
 
-    1. a0 ~ 0 (||p|| negligible against mu sqrt(n)): the pure Newton step
-       sigma = 0, alpha = 1 reaches an exact solution.
+    1. h(0) = ||p||^2 ~ 0 (||p|| negligible against mu sqrt(n)): the pure
+       Newton step sigma = 0, alpha = 1 reaches an exact solution.
     2. The smallest root of f(sigma, 1) in (0, 1), with alpha = 1.
     3. Every root sigma of g in (0, 1), and the endpoint sigma = 1, with
        alpha = min(1, theta mu sigma / sqrt(h(sigma))) (1 where h <= 0).
        A root clamped to alpha = 1 satisfies f(sigma, 1) <= 0, so it lies
        at or above the f root of item 2 and never beats it. The endpoint
        predicts mu itself and wins only when float64 finds no other
-       candidate: with a0 > 0, g(0) = -2 a0 < 0 <= 2 h(1) = g(1).
+       candidate: with h(0) > 0, g(0) = -2 h(0) < 0 <= 2 h(1) = g(1).
 
        Where item 2 found a root sigma_f, g is searched on (0, sigma_f)
        alone and the endpoint is skipped: a pair with alpha <= 1 predicts
@@ -190,19 +175,18 @@ def select_step(sp: StepPolynomials) -> CandidatePair:
     where alpha = 1 and is stationary elsewhere only at roots of g. Ties are
     broken toward larger alpha, then smaller sigma.
     """
-    n = sp.p.shape[0]
-    if math.sqrt(max(sp.a0, 0.0)) <= A0_ZERO_REL_TOL * sp.mu * math.sqrt(n):
+    if math.sqrt(max(h[4], 0.0)) <= A0_ZERO_REL_TOL * mu * math.sqrt(n):
         return CandidatePair(sigma=0.0, alpha=1.0, predicted_mu=0.0, origin="a0_zero")
 
-    f_roots = real_roots_in_open_unit(f_alpha1_poly(sp))
+    f_roots = real_roots_in_open_unit(f_alpha1_poly(h, theta, mu))
     if f_roots:
-        candidates = [_pair(sp, f_roots[0], 1.0, "f_root_alpha1")]
-        sigmas = real_roots_in_open_unit(g_poly(sp), f_roots[0])
+        candidates = [_pair(mu, f_roots[0], 1.0, "f_root_alpha1")]
+        sigmas = real_roots_in_open_unit(g_poly(h), f_roots[0])
     else:
         candidates = []
-        sigmas = real_roots_in_open_unit(g_poly(sp)) + [1.0]
+        sigmas = real_roots_in_open_unit(g_poly(h)) + [1.0]
     for sigma in sigmas:
-        h = eval_h(sp, sigma)
-        alpha = 1.0 if h <= 0.0 else min(1.0, sp.theta * sp.mu * sigma / math.sqrt(h))
-        candidates.append(_pair(sp, sigma, alpha, "g_root" if sigma < 1.0 else "sigma_one"))
+        h_sigma = _horner(h, sigma)[0]
+        alpha = 1.0 if h_sigma <= 0.0 else min(1.0, theta * mu * sigma / math.sqrt(h_sigma))
+        candidates.append(_pair(mu, sigma, alpha, "g_root" if sigma < 1.0 else "sigma_one"))
     return min(candidates, key=lambda cp: (cp.predicted_mu, -cp.alpha, cp.sigma))

@@ -27,6 +27,15 @@ from optlp.solver import generate_synthetic
 SRC = Path(optlp.__file__).resolve().parent.parent
 
 
+# An LP and start, n = 4, m = 2, from tools/find_g_root_case.py (seed 0):
+# the start lies just inside the theta = 0.7 neighborhood, with y = 0,
+# b = A x and c = s
+G_ROOT_A = [[0.16210339, -0.32808343, 0.46377585, 0.083694697],
+            [0.019377321, -1.1445052, 1.7112299, 0.30188392]]
+G_ROOT_X = [0.038777368, 0.46389292, 90.846808, 1.1815073]
+G_ROOT_S = [11.062421, 2.979154, 0.0120026, 0.92984784]
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter run with ``args`` that imports optlp from SRC."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
@@ -147,30 +156,41 @@ def synthetic_family(count, rng_seed=20240, n_max=64):
     return problems
 
 
-def step_grid_best(sp, grid=200):
+def step_vectors(dec):
+    """(p, q, r) = (p_x o p_s, q_x o p_s + p_x o q_s, q_x o q_s) from
+    :func:`optlp.direction.decompose`'s (pq, y): h(sigma) = ||p - sigma q +
+    sigma^2 r||^2."""
+    pq, _ = dec
+    n = pq.shape[0] // 2
+    (p_x, q_x), (p_s, q_s) = pq[:n].T, pq[n:].T
+    return p_x * p_s, q_x * p_s + p_x * q_s, q_x * q_s
+
+
+def step_grid_best(h, theta, mu, grid=200):
     """Brute-force best predicted gap over a (sigma, alpha) feasibility grid.
 
-    Evaluates f directly from the quartic coefficients; returns the smallest
-    predicted mu among feasible grid points, or None if none is feasible.
+    Evaluates f directly from the coefficients of the step quartic h
+    (highest degree first); returns the smallest predicted mu among feasible
+    grid points, or None if none is feasible.
     """
     sigmas = np.arange(1, grid + 1) / (grid + 1.0)
     alphas = np.arange(1, grid + 1) / (grid + 1.0)
     best = None
     for sig in sigmas:
-        h = (((sp.a4 * sig - sp.a3) * sig + sp.a2) * sig - sp.a1) * sig + sp.a0
-        fvals = h - (sp.theta * sp.mu * sig / alphas) ** 2
+        fvals = np.polyval(h, sig) - (theta * mu * sig / alphas) ** 2
         ok = fvals <= 0.0
         if ok.any():
-            predicted = sp.mu * (1.0 - alphas[ok] * (1.0 - sig))
+            predicted = mu * (1.0 - alphas[ok] * (1.0 - sig))
             cand = float(predicted.min())
             if best is None or cand < best:
                 best = cand
     return best
 
 
-def mp_best_step(sp, dps=50):
+def mp_best_step(h, theta, mu, dps=50):
     """The least predicted gap ratio mu+/mu of any admissible (sigma, alpha),
-    at ``dps`` digits, as (phi, sigma).
+    at ``dps`` digits, as (phi, sigma), for the step quartic h (highest
+    degree first).
 
     For fixed sigma the largest admissible alpha is alpha*(sigma) =
     min(1, theta mu sigma / sqrt(h(sigma))), so the problem is to minimize
@@ -180,16 +200,16 @@ def mp_best_step(sp, dps=50):
     sigma = 1. The coefficients are taken as exact binary values.
     """
     with mpmath.workdps(dps):
-        a0, a1, a2, a3, a4 = (mpmath.mpf(v) for v in (sp.a0, sp.a1, sp.a2, sp.a3, sp.a4))
-        tm = mpmath.mpf(sp.theta) * mpmath.mpf(sp.mu)
+        h0, h1, h2, h3, h4 = (mpmath.mpf(v) for v in h)
+        tm = mpmath.mpf(theta) * mpmath.mpf(mu)
 
         def phi(sigma):
-            h = (((a4 * sigma - a3) * sigma + a2) * sigma - a1) * sigma + a0
-            alpha = 1 if h <= 0 else min(mpmath.mpf(1), tm * sigma / mpmath.sqrt(h))
+            hs = (((h0 * sigma + h1) * sigma + h2) * sigma + h3) * sigma + h4
+            alpha = 1 if hs <= 0 else min(mpmath.mpf(1), tm * sigma / mpmath.sqrt(hs))
             return 1 - alpha * (1 - sigma)
 
-        f1 = [a4, -a3, a2 - tm**2, -a1, a0]
-        g = [2 * a4 - a3, 2 * a2 - a3, -3 * a1, 4 * a0 + a1, -2 * a0]
+        f1 = [h0, h1, h2 - tm**2, h3, h4]
+        g = [2 * h0 + h1, 2 * h2 + h1, 3 * h3, 4 * h4 - h3, -2 * h4]
         candidates = [mpmath.mpf(1)] + [
             z.real for coeffs in (f1, g) for z in mp_polyroots(coeffs, dps)
             if z.imag == 0 and 0 < z.real < 1
@@ -198,11 +218,11 @@ def mp_best_step(sp, dps=50):
         return phi(best), best
 
 
-def sampled_best_step(sp, count=100_000):
+def sampled_best_step(h, theta, mu, count=100_000):
     """min phi over ``count`` evenly spaced sigmas in (0, 1], in float64: the
     brute-force check on :func:`mp_best_step`."""
     sigma = np.arange(1, count + 1) / count
-    h = (((sp.a4 * sigma - sp.a3) * sigma + sp.a2) * sigma - sp.a1) * sigma + sp.a0
+    hs = np.polyval(h, sigma)
     with np.errstate(divide="ignore"):
-        alpha = np.minimum(1.0, sp.theta * sp.mu * sigma / np.sqrt(np.maximum(h, 0.0)))
+        alpha = np.minimum(1.0, theta * mu * sigma / np.sqrt(np.maximum(hs, 0.0)))
     return float(np.min(1.0 - alpha * (1.0 - sigma)))

@@ -20,12 +20,13 @@ from optlp.solver import (
     solve,
     solve_shortstep_baseline,
 )
-from optlp.stepsel import eval_f, real_roots_in_open_unit
+from optlp.stepsel import f_alpha1_poly, real_roots_in_open_unit
 
 from helpers import (
     dense_kkt_direction,
     random_interior_iterate,
     step_grid_best,
+    step_vectors,
     synthetic_family,
 )
 
@@ -39,9 +40,9 @@ def _report(criterion, ok, detail=""):
     assert ok, f"{criterion}: {detail}"
 
 
-def _direction_at(lp, it, theta=0.99):
+def _direction_at(lp, it):
     dec = decompose(build_factors(lp, it), it)
-    return dec, step_polynomials(dec, theta, it.mu)
+    return dec, step_polynomials(dec)
 
 
 def test_criterion_1_algebraic_identities():
@@ -54,7 +55,7 @@ def test_criterion_1_algebraic_identities():
         it = random_interior_iterate(lp, start, rng)
         sigma = float(rng.uniform(0.0, 1.0))
         alpha = float(rng.uniform(0.05, 1.0))
-        dec, sp = _direction_at(lp, it)
+        dec, h = _direction_at(lp, it)
         dxs, dy = assemble_direction(dec, sigma)
         dx, ds = np.split(dxs, 2)
 
@@ -82,9 +83,10 @@ def test_criterion_1_algebraic_identities():
         assert r1 <= 1e-9 and r2 <= 1e-9 and r3 <= 1e-9
 
         # (d) ||p - sq + s^2 r||^2 equals the quartic h at 10 random sigmas
+        p, q, r = step_vectors(dec)
         for sg in rng.uniform(0.0, 1.0, size=10):
-            brute = float(np.linalg.norm(sp.p - sg * sp.q + sg * sg * sp.r) ** 2)
-            horner = (((sp.a4 * sg - sp.a3) * sg + sp.a2) * sg - sp.a1) * sg + sp.a0
+            brute = float(np.linalg.norm(p - sg * q + sg * sg * r) ** 2)
+            horner = (((h[0] * sg + h[1]) * sg + h[2]) * sg + h[3]) * sg + h[4]
             rel = abs(brute - horner) / max(abs(brute), 1e-30)
             worst["quartic"] = max(worst["quartic"], rel)
             assert rel <= 1e-10
@@ -119,8 +121,8 @@ def test_criterion_2_qr_matches_dense_solve():
 def test_criterion_3_step_selection_beats_grid():
     harvested = []
 
-    def observer(k, it, dec, sp, pair):
-        harvested.append((sp, pair))
+    def observer(k, it, dec, h, pair):
+        harvested.append((h, it.mu, pair))
 
     rng = np.random.default_rng(303)
     seeds = iter(range(1000, 1100))
@@ -130,13 +132,14 @@ def test_criterion_3_step_selection_beats_grid():
         lp, start = generate_synthetic(n, m, seed=next(seeds))
         solve(lp, start, SolverConfig(), observer=observer)
     worst = 0.0
-    for sp, pair in harvested[:100]:
-        best = step_grid_best(sp, grid=200)
+    theta = SolverConfig().theta
+    for h, mu, pair in harvested[:100]:
+        best = step_grid_best(h, theta, mu, grid=200)
         if best is None:
             continue
         slack = pair.predicted_mu - best
-        worst = max(worst, slack / sp.mu)
-        assert pair.predicted_mu <= best + 1e-6 * sp.mu
+        worst = max(worst, slack / mu)
+        assert pair.predicted_mu <= best + 1e-6 * mu
     _report(
         "criterion 3: selected pairs beat the 200x200 feasibility grid (100 live instances)",
         True,
@@ -245,14 +248,14 @@ def test_criterion_6_shortstep_dominance():
         cfg = SolverConfig(theta=0.4, max_iter=2000)
         events = []
 
-        def observer(k, it, dec, sp, pair):
-            events.append((sp, pair))
+        def observer(k, it, dec, h, pair):
+            events.append((f_alpha1_poly(h, cfg.theta, it.mu), pair))
 
         fast = solve(lp, start, cfg, observer=observer)
         slow = solve_shortstep_baseline(lp, start, cfg)
         assert fast.status == STATUS_OPTIMAL and slow.status == STATUS_OPTIMAL
-        for sp, pair in events:
-            if eval_f(sp, sigma_ss, 1.0) <= 0.0:
+        for f1, pair in events:
+            if np.polyval(f1, sigma_ss) <= 0.0:
                 factor = 1.0 - pair.alpha * (1.0 - pair.sigma)
                 assert factor <= sigma_ss + 1e-12, (
                     f"{lp.name}: factor {factor} vs shortstep {sigma_ss}"

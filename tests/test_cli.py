@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,36 @@ ENDATA
     assert "start file" in capsys.readouterr().err
 
 
+# each row's sum A e overflows to inf, so the least-squares start is not
+# finite
+OVERFLOW_LP = """\
+NAME  OVERFLOW
+ROWS
+ N  COST
+ E  R1
+ E  R2
+COLUMNS
+    X1  R1  1e308
+    X2  R1  1e308
+    X3  R2  1e308
+    X4  R2  1e308
+RHS
+    RHS  R1  1.0  R2  2.0
+ENDATA
+"""
+
+
+def test_overflowing_row_sums_leave_no_start(tmp_path, capsys):
+    path = tmp_path / "overflow.mps"
+    path.write_text(OVERFLOW_LP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path)]) == EXIT_NO_START
+        assert "no interior starting point" in capsys.readouterr().err
+        assert main(["bench", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "overflow,start-failed,start-failed,"
+
+
 def test_off_centre_heuristic_start_is_rejected_by_the_solver(tmp_path, capsys):
     # the heuristic gives x = (1, 1), y = 1.95, s = (0.05, 1.95): positive
     # and feasible, but ||x o s - mu e|| = 1.34 > 0.99 mu with mu = 1
@@ -474,3 +505,12 @@ def test_solve_as_a_process_prints_the_in_process_report(capsys):
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
                 if line.startswith("import time:")}
     assert "optlp.linalg" in imported and "scipy.linalg" not in imported
+
+
+def test_solve_without_a_start_file_leaves_scipy_linalg_unimported(generated):
+    out, _ = generated
+    done = run_python("-X", "importtime", "-m", "optlp.cli", "solve", str(out))
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "optlp.solver" in imported and "scipy.linalg" not in imported

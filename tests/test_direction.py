@@ -25,6 +25,7 @@ from helpers import (
     dense_kkt_direction,
     mp_kkt_direction,
     random_interior_iterate,
+    step_vectors,
     synthetic_family,
 )
 
@@ -338,15 +339,14 @@ def test_gap_identity_inner_products(problem):
 
 
 def test_step_polynomials_zero_and_scalar():
-    sp = step_polynomials((np.zeros((6, 2), order="F"), np.zeros((1, 2))), theta=0.5, mu=1.0)
-    assert (sp.a0, sp.a1, sp.a2, sp.a3, sp.a4) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    h = step_polynomials((np.zeros((6, 2), order="F"), np.zeros((1, 2))))
+    assert h == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     # n = 1 with (p_x, p_s) = (2, 1) and (q_x, q_s) = (1, 1), giving p = 2,
-    # q = 3, r = 1: coefficients must be (4, 12, 13, 6, 1)
-    pq = np.array([[2.0, 1.0], [1.0, 1.0]], order="F")
-    sp1 = step_polynomials((pq, np.zeros((1, 2))), theta=0.5, mu=1.0)
-    assert sp1.p[0] == 2.0 and sp1.q[0] == 3.0 and sp1.r[0] == 1.0
-    assert (sp1.a0, sp1.a1, sp1.a2, sp1.a3, sp1.a4) == (4.0, 12.0, 13.0, 6.0, 1.0)
+    # q = 3, r = 1: h(sigma) = (2 - 3 sigma + sigma^2)^2
+    dec = (np.array([[2.0, 1.0], [1.0, 1.0]], order="F"), np.zeros((1, 2)))
+    assert [v[0] for v in step_vectors(dec)] == [2.0, 3.0, 1.0]
+    assert step_polynomials(dec) == (1.0, -6.0, 13.0, -12.0, 4.0)
 
 
 def test_step_polynomial_coefficients_match_quartic_norm(problem):
@@ -355,11 +355,11 @@ def test_step_polynomial_coefficients_match_quartic_norm(problem):
     for _ in range(5):
         it = random_interior_iterate(lp, start, rng)
         dec = decompose(build_factors(lp, it), it)
-        sp = step_polynomials(dec, theta=0.99, mu=it.mu)
-        assert sp.a0 >= 0.0 and sp.a4 >= 0.0
-        assert sp.a0 == pytest.approx(float(sp.p @ sp.p), rel=1e-12)
-        assert sp.a4 == pytest.approx(float(sp.r @ sp.r), rel=1e-12)
+        h = step_polynomials(dec)
+        p, q, r = step_vectors(dec)
+        assert h[4] >= 0.0 and h[0] >= 0.0
+        assert h[4] == pytest.approx(float(p @ p), rel=1e-12)
+        assert h[0] == pytest.approx(float(r @ r), rel=1e-12)
         for sigma in rng.uniform(0.0, 1.0, size=10):
-            brute = float(np.linalg.norm(sp.p - sigma * sp.q + sigma**2 * sp.r) ** 2)
-            horner = (((sp.a4 * sigma - sp.a3) * sigma + sp.a2) * sigma - sp.a1) * sigma + sp.a0
-            assert brute == pytest.approx(horner, rel=1e-10, abs=1e-14)
+            brute = float(np.linalg.norm(p - sigma * q + sigma**2 * r) ** 2)
+            assert brute == pytest.approx(np.polyval(h, sigma), rel=1e-10, abs=1e-14)

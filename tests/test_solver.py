@@ -243,11 +243,11 @@ def test_exact_step_far_from_the_optimum_is_safeguarded(monkeypatch):
 
     calls = []
 
-    def exact_first(sp):
-        calls.append(sp)
+    def exact_first(*args):
+        calls.append(args)
         if len(calls) == 1:
             return CandidatePair(sigma=0.0, alpha=1.0, predicted_mu=0.0, origin="a0_zero")
-        return select_step(sp)
+        return select_step(*args)
 
     monkeypatch.setattr(solver_mod, "select_step", exact_first)
     lp, start = generate_synthetic(20, 9, seed=11)
@@ -269,8 +269,7 @@ def test_safeguarded_step_full_alpha_on_clean_pair():
     from optlp.direction import step_polynomials
     from optlp.stepsel import select_step
 
-    sp = step_polynomials(dec, cfg.theta, start.mu)
-    pair = select_step(sp)
+    pair = select_step(step_polynomials(dec), cfg.theta, start.mu, lp.n)
     direction = assemble_direction(dec, pair.sigma)
     accepted, alpha = safeguarded_step(start, direction, pair, cfg)
     assert alpha == pair.alpha
@@ -358,7 +357,7 @@ def test_solve_reports_numerical_breakdown(monkeypatch):
 
     lp, start = generate_synthetic(10, 4, seed=6)
 
-    def explode(sp):
+    def explode(*args):
         raise NFS("synthetic failure")
 
     monkeypatch.setattr(solver_mod, "select_step", explode)
@@ -427,15 +426,14 @@ def test_heuristic_start_on_synthetic_is_exact():
 
 
 def test_heuristic_start_outcome_on_afiro_recorded():
-    # empirical record only: the heuristic is deliberately weak and is not
-    # expected to pass the neighborhood test on real-world instances
+    # the heuristic is deliberately weak: on AFIRO its x has a negative
+    # component
     from pathlib import Path
     from optlp.mps import parse_mps, to_standard_form
 
     path = Path(__file__).parent / "data" / "netlib" / "afiro.mps"
     lp, _ = to_standard_form(parse_mps(path.read_text()))
-    outcome = heuristic_start(lp)
-    print(f"heuristic_start on afiro: {'accepted' if outcome else 'no_interior_start'}")
+    assert heuristic_start(lp) is None
 
 
 def test_heuristic_start_negative_component_is_none():

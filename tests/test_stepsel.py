@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from optlp.direction import StepPolynomials, build_factors, decompose, step_polynomials
-from optlp.errors import DegenerateInputError, InvalidInputError, NoFeasibleStepError
+from optlp.direction import build_factors, decompose, step_polynomials
+from optlp.errors import DegenerateInputError, NoFeasibleStepError
 from optlp.model import Iterate, SolverConfig, StandardLp
 from optlp.solver import STATUS_OPTIMAL, generate_synthetic, safeguarded_step, solve
 from optlp.stepsel import (
     CandidatePair,
-    eval_f,
-    eval_h,
     f_alpha1_poly,
     g_poly,
     real_roots_in_open_unit,
@@ -20,21 +18,23 @@ from optlp.stepsel import (
 )
 
 from helpers import (
+    G_ROOT_A,
+    G_ROOT_S,
+    G_ROOT_X,
     float64_sign,
     mp_best_step,
     mp_polyroots,
     random_interior_iterate,
     sampled_best_step,
     step_grid_best,
+    step_vectors,
 )
 
 
-def make_sp(a0, a1, a2, a3, a4, theta=1.0, mu=1.0, n=4):
-    """StepPolynomials with prescribed coefficients (vectors only carry n)."""
-    return StepPolynomials(
-        a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, theta=theta, mu=mu,
-        p=np.zeros(n), q=np.zeros(n), r=np.zeros(n),
-    )
+def eval_f(h, theta, mu, sigma, alpha):
+    """f(sigma, alpha) = h(sigma) - (theta mu sigma / alpha)^2: f(., 1) with
+    theta / alpha in place of theta."""
+    return float(np.polyval(f_alpha1_poly(h, theta / alpha, mu), sigma))
 
 
 def expand_roots(roots, lead=1.0):
@@ -58,30 +58,25 @@ def poly_from_roots(roots, lead=1.0):
 
 
 def test_eval_f_arithmetic_case():
-    sp = make_sp(4.0, 12.0, 13.0, 6.0, 1.0, theta=1.0, mu=1.0)
+    h = (1.0, -6.0, 13.0, -12.0, 4.0)
     # theta*mu = 1, alpha = 1, sigma = 1: 1 - 6 + 12 - 12 + 4 = -1
-    assert eval_f(sp, 1.0, 1.0) == pytest.approx(-1.0)
+    assert eval_f(h, 1.0, 1.0, 1.0, 1.0) == pytest.approx(-1.0)
 
 
 def test_eval_f_sigma_zero_is_a0():
-    sp = make_sp(7.5, 1.0, 2.0, 3.0, 4.0)
+    h = (4.0, -3.0, 2.0, -1.0, 7.5)
     for alpha in (0.1, 0.5, 1.0):
-        assert eval_f(sp, 0.0, alpha) == 7.5
-
-
-def test_eval_f_alpha_zero_rejected():
-    sp = make_sp(1.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(InvalidInputError):
-        eval_f(sp, 0.5, 0.0)
+        assert eval_f(h, 1.0, 1.0, 0.0, alpha) == 7.5
 
 
 def test_eval_f_monotone_in_alpha():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        sp = make_sp(*rng.uniform(0.0, 3.0, size=5), theta=0.8, mu=1.3)
+        a0, a1, a2, a3, a4 = rng.uniform(0.0, 3.0, size=5)
+        h = (a4, -a3, a2, -a1, a0)
         sigma = float(rng.uniform(0.05, 0.95))
         alphas = np.linspace(0.05, 1.0, 40)
-        vals = [eval_f(sp, sigma, a) for a in alphas]
+        vals = [eval_f(h, 0.8, 1.3, sigma, a) for a in alphas]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
 
@@ -89,13 +84,13 @@ def test_eval_g_endpoints():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a0, a1, a2, a3, a4 = rng.uniform(0.1, 2.0, size=5)
-        sp = make_sp(a0, a1, a2, a3, a4)
-        g = g_poly(sp)
+        h = (a4, -a3, a2, -a1, a0)
+        g = g_poly(h)
         assert np.polyval(g, 0.0) == pytest.approx(-2.0 * a0, rel=1e-14)
-        assert np.polyval(g, 1.0) == pytest.approx(2.0 * eval_h(sp, 1.0), rel=1e-12, abs=1e-12)
-    sp = make_sp(4.0, 12.0, 13.0, 6.0, 1.0)
-    assert np.polyval(g_poly(sp), 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert eval_h(sp, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert np.polyval(g, 1.0) == pytest.approx(2.0 * np.polyval(h, 1.0), rel=1e-12, abs=1e-12)
+    h = (1.0, -6.0, 13.0, -12.0, 4.0)
+    assert np.polyval(g_poly(h), 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert np.polyval(h, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_h_is_quartic_norm_and_links_to_f():
@@ -104,15 +99,15 @@ def test_eval_h_is_quartic_norm_and_links_to_f():
     for _ in range(5):
         it = random_interior_iterate(lp, start, rng)
         dec = decompose(build_factors(lp, it), it)
-        sp = step_polynomials(dec, theta=0.9, mu=it.mu)
-        assert eval_h(sp, 0.0) == sp.a0
+        h = step_polynomials(dec)
+        p, q, r = step_vectors(dec)
         for _ in range(10):
             sigma = float(rng.uniform(0.0, 1.0))
             alpha = float(rng.uniform(0.05, 1.0))
-            brute = float(np.linalg.norm(sp.p - sigma * sp.q + sigma**2 * sp.r) ** 2)
-            assert eval_h(sp, sigma) == pytest.approx(brute, rel=1e-10, abs=1e-14)
-            gap = eval_h(sp, sigma) - eval_f(sp, sigma, alpha)
-            assert gap == pytest.approx((sp.theta * sp.mu * sigma / alpha) ** 2,
+            brute = float(np.linalg.norm(p - sigma * q + sigma**2 * r) ** 2)
+            assert np.polyval(h, sigma) == pytest.approx(brute, rel=1e-10, abs=1e-14)
+            gap = np.polyval(h, sigma) - eval_f(h, 0.9, it.mu, sigma, alpha)
+            assert gap == pytest.approx((0.9 * it.mu * sigma / alpha) ** 2,
                                         rel=1e-12, abs=1e-14)
 
 
@@ -239,24 +234,24 @@ def test_roots_match_extended_precision(coeffs):
 
 
 def harvested_polynomials(count=40, theta=0.99):
+    """(h, theta, mu, n) at random iterates of one synthetic LP."""
     lp, start = generate_synthetic(18, 7, seed=90)
     rng = np.random.default_rng(17)
     out = []
     for _ in range(count):
         it = random_interior_iterate(lp, start, rng, theta=theta)
         dec = decompose(build_factors(lp, it), it)
-        out.append(step_polynomials(dec, theta, it.mu))
+        out.append((step_polynomials(dec), theta, it.mu, lp.n))
     return out
 
 
 def test_select_step_a0_zero_branch():
-    sp = make_sp(0.0, 0.0, 0.0, 0.0, 0.0, mu=0.5, n=6)
-    pair = select_step(sp)
+    pair = select_step((0.0, 0.0, 0.0, 0.0, 0.0), 1.0, 0.5, 6)
     assert pair == CandidatePair(sigma=0.0, alpha=1.0, predicted_mu=0.0, origin="a0_zero")
     # just-below-threshold a0 also triggers the branch
     n = 6
-    sp2 = make_sp((1e-13 * 0.5 * math.sqrt(n)) ** 2, 0.0, 1.0, 0.0, 1.0, mu=0.5, n=n)
-    assert select_step(sp2).origin == "a0_zero"
+    h = (1.0, 0.0, 1.0, 0.0, (1e-13 * 0.5 * math.sqrt(n)) ** 2)
+    assert select_step(h, 1.0, 0.5, n).origin == "a0_zero"
 
 
 def test_select_step_prefers_known_f_root():
@@ -267,50 +262,49 @@ def test_select_step_prefers_known_f_root():
     # tune a0: f(0.3,1) = a4*.0081 - a3*.027 + (a2 - (tm)^2)*.09 - a1*.3 + a0 = 0
     tm2 = (theta * mu) ** 2
     a0 = -(a4 * 0.3**4 - a3 * 0.3**3 + (a2 - tm2) * 0.3**2 - a1 * 0.3)
-    sp = make_sp(a0, a1, a2, a3, a4, theta=theta, mu=mu)
-    assert eval_f(sp, 0.3, 1.0) == pytest.approx(0.0, abs=1e-15)
-    pair = select_step(sp)
-    grid = step_grid_best(sp)
+    h = (a4, -a3, a2, -a1, a0)
+    assert eval_f(h, theta, mu, 0.3, 1.0) == pytest.approx(0.0, abs=1e-15)
+    pair = select_step(h, theta, mu, 4)
+    grid = step_grid_best(h, theta, mu)
     assert pair.predicted_mu <= grid + 1e-6 * mu
     # the exact-root candidate must be at least as good as sigma = 0.3
     assert pair.predicted_mu <= mu * 0.3 + 1e-12
 
 
 def test_select_step_live_instances_beat_grid():
-    for sp in harvested_polynomials(25):
-        pair = select_step(sp)
+    for h, theta, mu, n in harvested_polynomials(25):
+        pair = select_step(h, theta, mu, n)
         assert 0.0 < pair.alpha <= 1.0
         assert (0.0 < pair.sigma < 1.0) or (pair.sigma == 0.0 and pair.alpha == 1.0)
         assert pair.predicted_mu == pytest.approx(
-            sp.mu * (1.0 - pair.alpha * (1.0 - pair.sigma)), rel=1e-14
+            mu * (1.0 - pair.alpha * (1.0 - pair.sigma)), rel=1e-14
         )
         # feasibility of the selected pair
-        scale = abs(sp.a0) + (sp.theta * sp.mu) ** 2
-        assert eval_f(sp, pair.sigma, pair.alpha) <= 1e-9 * scale
-        best = step_grid_best(sp)
+        scale = abs(h[4]) + (theta * mu) ** 2
+        assert eval_f(h, theta, mu, pair.sigma, pair.alpha) <= 1e-9 * scale
+        best = step_grid_best(h, theta, mu)
         if best is not None:
-            assert pair.predicted_mu <= best + 1e-6 * sp.mu
+            assert pair.predicted_mu <= best + 1e-6 * mu
 
 
 def test_select_step_g_root_identity():
-    for sp in harvested_polynomials(15):
-        for sigma in real_roots_in_open_unit(g_poly(sp)):
-            h = eval_h(sp, sigma)
-            if h <= 0.0:
+    for h, theta, mu, _ in harvested_polynomials(15):
+        for sigma in real_roots_in_open_unit(g_poly(h)):
+            h_sigma = np.polyval(h, sigma)
+            if h_sigma <= 0.0:
                 continue
-            alpha = sp.theta * sp.mu * sigma / math.sqrt(h)
+            alpha = theta * mu * sigma / math.sqrt(h_sigma)
             if 0.0 < alpha < 1.0:
-                lhs = (sp.theta * sp.mu * sigma / alpha) ** 2
-                assert lhs == pytest.approx(h, rel=1e-9)
+                lhs = (theta * mu * sigma / alpha) ** 2
+                assert lhs == pytest.approx(h_sigma, rel=1e-9)
 
 
 def test_select_step_shortstep_dominance_when_feasible():
-    for sp in harvested_polynomials(25, theta=0.4):
-        n = sp.p.shape[0]
+    for h, theta, mu, n in harvested_polynomials(25, theta=0.4):
         sigma_ss = 1.0 - 0.4 / math.sqrt(n)
-        if eval_f(sp, sigma_ss, 1.0) <= 0.0:
-            pair = select_step(sp)
-            assert pair.predicted_mu <= sp.mu * sigma_ss + 1e-12 * sp.mu
+        if eval_f(h, theta, mu, sigma_ss, 1.0) <= 0.0:
+            pair = select_step(h, theta, mu, n)
+            assert pair.predicted_mu <= mu * sigma_ss + 1e-12 * mu
 
 
 def test_sigma_one_when_root_finding_fails(monkeypatch):
@@ -320,12 +314,12 @@ def test_sigma_one_when_root_finding_fails(monkeypatch):
     import optlp.stepsel as stepsel_mod
 
     monkeypatch.setattr(stepsel_mod, "real_roots_in_open_unit", lambda poly: [])
-    sp = make_sp(1.0, 0.0, 2.0, 0.0, 1.0, theta=0.9, mu=1.0, n=4)
-    pair = select_step(sp)
+    h, theta, mu = (1.0, 0.0, 2.0, 0.0, 1.0), 0.9, 1.0
+    pair = select_step(h, theta, mu, 4)
     assert pair.origin == "sigma_one"
-    assert pair.sigma == 1.0 and pair.predicted_mu == sp.mu
-    assert pair.alpha == sp.theta * sp.mu / math.sqrt(eval_h(sp, 1.0))
-    assert eval_f(sp, pair.sigma, pair.alpha) <= 0.0
+    assert pair.sigma == 1.0 and pair.predicted_mu == mu
+    assert pair.alpha == theta * mu / math.sqrt(np.polyval(h, 1.0))
+    assert eval_f(h, theta, mu, pair.sigma, pair.alpha) <= 0.0
 
 
 def test_select_step_huge_h_takes_a_vanishing_sigma_one_step(monkeypatch):
@@ -334,11 +328,11 @@ def test_select_step_huge_h_takes_a_vanishing_sigma_one_step(monkeypatch):
     monkeypatch.setattr(stepsel_mod, "real_roots_in_open_unit", lambda poly: [])
     # h astronomically large against theta*mu: only a vanishing alpha is
     # admissible, and the safeguard ends the solve on it
-    sp = make_sp(1e30, 0.0, 0.0, 0.0, 0.0, theta=1e-6, mu=1e-6, n=4)
-    pair = select_step(sp)
+    h, theta, mu = (0.0, 0.0, 0.0, 0.0, 1e30), 1e-6, 1e-6
+    pair = select_step(h, theta, mu, 4)
     assert pair.origin == "sigma_one" and pair.sigma == 1.0
     assert 0.0 < pair.alpha < 1e-20
-    assert eval_f(sp, pair.sigma, pair.alpha) <= 1e-14 * (sp.a0 + (sp.theta * sp.mu) ** 2)
+    assert eval_f(h, theta, mu, pair.sigma, pair.alpha) <= 1e-14 * (h[4] + (theta * mu) ** 2)
     it = Iterate(np.ones(4), np.zeros(2), np.ones(4))
     direction = (np.full(8, 0.5), np.ones(2))
     with pytest.raises(NoFeasibleStepError):
@@ -346,7 +340,7 @@ def test_select_step_huge_h_takes_a_vanishing_sigma_one_step(monkeypatch):
 
 
 def realizable_polynomials(count, seed=5):
-    """Step polynomials of random (p, q, r) with n in 2..8, entries scaled by
+    """(h, theta, mu, n) of random (p, q, r) with n in 2..8, entries scaled by
     10^U(-1, 1) and mu = 1: h is often large against theta mu, where g wins."""
     rng = np.random.default_rng(seed)
     out = []
@@ -354,11 +348,9 @@ def realizable_polynomials(count, seed=5):
         n = int(rng.integers(2, 9))
         p, q, r = (rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 1.0, size=n)
                    for _ in range(3))
-        out.append(StepPolynomials(
-            a0=float(p @ p), a1=2.0 * float(q @ p), a2=2.0 * float(p @ r) + float(q @ q),
-            a3=2.0 * float(q @ r), a4=float(r @ r), theta=(0.25, 0.5, 0.9, 0.99)[i % 4],
-            mu=1.0, p=p, q=q, r=r,
-        ))
+        h = (float(r @ r), -2.0 * float(q @ r), 2.0 * float(p @ r) + float(q @ q),
+             -2.0 * float(q @ p), float(p @ p))
+        out.append((h, (0.25, 0.5, 0.9, 0.99)[i % 4], 1.0, n))
     return out
 
 
@@ -372,35 +364,34 @@ def test_select_step_matches_extended_precision_oracle():
     # the realizable batch and the last case (h > theta^2 sigma^2, so f(., 1)
     # has no root) give g_root
     cases = (harvested_polynomials(25) + realizable_polynomials(60)
-             + [make_sp(1.0, 0.0, 2.0, 0.0, 1.0, theta=0.9)])
+             + [((1.0, 0.0, 2.0, 0.0, 1.0), 0.9, 1.0, 4)])
     origins = set()
-    for sp in cases:
-        pair = select_step(sp)
+    for h, theta, mu, n in cases:
+        pair = select_step(h, theta, mu, n)
         origins.add(pair.origin)
-        phi, sigma_best = mp_best_step(sp)
-        assert pair.predicted_mu / sp.mu == pytest.approx(float(phi), rel=1e-12), (
+        phi, sigma_best = mp_best_step(h, theta, mu)
+        assert pair.predicted_mu / mu == pytest.approx(float(phi), rel=1e-12), (
             pair, float(sigma_best))
-        assert float(phi) <= sampled_best_step(sp) * (1.0 + 1e-12)
+        assert float(phi) <= sampled_best_step(h, theta, mu) * (1.0 + 1e-12)
         with mpmath.workdps(50):
             sigma, alpha = mpmath.mpf(pair.sigma), mpmath.mpf(pair.alpha)
-            h = sum(mpmath.mpf(c) * sigma**k for k, c in
-                    enumerate((sp.a0, -sp.a1, sp.a2, -sp.a3, sp.a4)))
-            f = h - (mpmath.mpf(sp.theta) * sp.mu * sigma / alpha) ** 2
-            assert f <= 1e-14 * (sp.a0 + (sp.theta * sp.mu) ** 2)
+            h_sigma = sum(mpmath.mpf(c) * sigma**k for k, c in enumerate(reversed(h)))
+            f = h_sigma - (mpmath.mpf(theta) * mu * sigma / alpha) ** 2
+            assert f <= 1e-14 * (h[4] + (theta * mu) ** 2)
     assert {"f_root_alpha1", "g_root"} <= origins
 
 
-def unpruned_select_step(sp):
+def unpruned_select_step(h, theta, mu):
     """select_step with g searched on all of (0, 1) and the endpoint sigma =
     1 always a candidate, as before the search stopped at the f root."""
     def pair(sigma, alpha, origin):
-        return CandidatePair(sigma, alpha, sp.mu * (1.0 - alpha * (1.0 - sigma)), origin)
+        return CandidatePair(sigma, alpha, mu * (1.0 - alpha * (1.0 - sigma)), origin)
 
     candidates = [pair(sigma, 1.0, "f_root_alpha1")
-                  for sigma in real_roots_in_open_unit(f_alpha1_poly(sp))[:1]]
-    for sigma in real_roots_in_open_unit(g_poly(sp)) + [1.0]:
-        h = eval_h(sp, sigma)
-        alpha = 1.0 if h <= 0.0 else min(1.0, sp.theta * sp.mu * sigma / math.sqrt(h))
+                  for sigma in real_roots_in_open_unit(f_alpha1_poly(h, theta, mu))[:1]]
+    for sigma in real_roots_in_open_unit(g_poly(h)) + [1.0]:
+        h_sigma = float(np.polyval(h, sigma))
+        alpha = 1.0 if h_sigma <= 0.0 else min(1.0, theta * mu * sigma / math.sqrt(h_sigma))
         candidates.append(pair(sigma, alpha, "g_root" if sigma < 1.0 else "sigma_one"))
     return min(candidates, key=lambda cp: (cp.predicted_mu, -cp.alpha, cp.sigma))
 
@@ -411,10 +402,10 @@ def test_search_below_the_f_root_loses_no_winner():
     a, x, s = (np.array(v) for v in (G_ROOT_A, G_ROOT_X, G_ROOT_S))
     live = []
     solve(StandardLp(a, a @ x, s), Iterate(x, np.zeros(2), s), SolverConfig(theta=0.7),
-          observer=lambda k, it, dec, sp, pair: live.append(sp))
+          observer=lambda k, it, dec, h, pair: live.append((h, 0.7, it.mu, 4)))
     origins = set()
-    for sp in harvested_polynomials(25) + realizable_polynomials(400) + live:
-        pair, unpruned = select_step(sp), unpruned_select_step(sp)
+    for h, theta, mu, n in harvested_polynomials(25) + realizable_polynomials(400) + live:
+        pair, unpruned = select_step(h, theta, mu, n), unpruned_select_step(h, theta, mu)
         origins.add(pair.origin)
         # the pruned search ends a g root's last bracket at the f root, not
         # at 1, so a winning g root may be refined to a neighbouring float
@@ -424,15 +415,6 @@ def test_search_below_the_f_root_loses_no_winner():
     assert {"f_root_alpha1", "g_root"} <= origins
 
 
-# An LP and start, n = 4, m = 2, from tools/find_g_root_case.py (seed 0):
-# the start lies just inside the theta = 0.7 neighborhood, with y = 0,
-# b = A x and c = s
-G_ROOT_A = [[0.16210339, -0.32808343, 0.46377585, 0.083694697],
-            [0.019377321, -1.1445052, 1.7112299, 0.30188392]]
-G_ROOT_X = [0.038777368, 0.46389292, 90.846808, 1.1815073]
-G_ROOT_S = [11.062421, 2.979154, 0.0120026, 0.92984784]
-
-
 def test_live_solve_takes_a_g_root_step():
     """A live solve whose first step is a g root, which predicts the least
     gap over the admissible set against the 50-digit oracle, and which the
@@ -440,19 +422,19 @@ def test_live_solve_takes_a_g_root_step():
     a, x, s = (np.array(v) for v in (G_ROOT_A, G_ROOT_X, G_ROOT_S))
     steps = []
     report = solve(StandardLp(a, a @ x, s), Iterate(x, np.zeros(2), s), SolverConfig(theta=0.7),
-                   observer=lambda k, it, dec, sp, pair: steps.append((sp, pair)))
+                   observer=lambda k, it, dec, h, pair: steps.append((h, it.mu, pair)))
     assert report.status == STATUS_OPTIMAL
-    sp, pair = steps[0]
+    h, mu, pair = steps[0]
     assert pair.origin == report.iterations[0].origin == "g_root"
-    phi, _ = mp_best_step(sp)
-    assert pair.predicted_mu / sp.mu == pytest.approx(float(phi), rel=1e-12)
+    phi, _ = mp_best_step(h, 0.7, mu)
+    assert pair.predicted_mu / mu == pytest.approx(float(phi), rel=1e-12)
 
 
 def test_poly_builders_match_definitions():
-    sp = make_sp(4.0, 12.0, 13.0, 6.0, 1.0, theta=0.7, mu=2.0)
-    c4, c3, c2, c1, c0 = f_alpha1_poly(sp)
+    h = (1.0, -6.0, 13.0, -12.0, 4.0)
+    c4, c3, c2, c1, c0 = f_alpha1_poly(h, 0.7, 2.0)
     assert (c4, c3, c1, c0) == (1.0, -6.0, -12.0, 4.0)
     assert c2 == pytest.approx(13.0 - (0.7 * 2.0) ** 2)
-    assert g_poly(sp) == (
+    assert g_poly(h) == (
         2.0 * 1.0 - 6.0, 2.0 * 13.0 - 6.0, -36.0, 28.0, -8.0
     )

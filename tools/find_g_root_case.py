@@ -59,25 +59,21 @@ def build(a, x, s):
     return StandardLp(a, a @ x, s), Iterate(x, np.zeros(M), s)
 
 
-def first_polynomials(lp, it):
-    return step_polynomials(decompose(build_factors(lp, it), it), THETA, it.mu)
-
-
 def advantage(z) -> float:
     """min phi over sigma below the f root, minus what the f root predicts;
     0 where there is no f root, or where the point cannot be factored."""
     try:
         lp, it = build(*case(z))
-        sp = first_polynomials(lp, it)
+        h = step_polynomials(decompose(build_factors(lp, it), it))
     except OptLpError:
         return 0.0
-    roots = real_roots_in_open_unit(f_alpha1_poly(sp))
+    roots = real_roots_in_open_unit(f_alpha1_poly(h, THETA, it.mu))
     if not roots:
         return 0.0
     sigma_f = roots[0]
     sigma = sigma_f * np.geomspace(1e-7, 1.0, 400, endpoint=False)
-    h = (((sp.a4 * sigma - sp.a3) * sigma + sp.a2) * sigma - sp.a1) * sigma + sp.a0
-    alpha = np.minimum(1.0, sp.theta * sp.mu * sigma / np.sqrt(np.maximum(h, 1e-300)))
+    h_sigma = np.polyval(h, sigma)
+    alpha = np.minimum(1.0, THETA * it.mu * sigma / np.sqrt(np.maximum(h_sigma, 1e-300)))
     return float(np.min(1.0 - alpha * (1.0 - sigma))) - sigma_f
 
 
@@ -86,7 +82,7 @@ def live_first_step(a, x, s):
     lp, it = build(a, x, s)
     pairs = []
     report = solve(lp, it, SolverConfig(theta=THETA),
-                   observer=lambda k, it, dec, sp, pair: pairs.append(pair))
+                   observer=lambda k, it, dec, h, pair: pairs.append(pair))
     return (pairs[0] if pairs else None), report
 
 

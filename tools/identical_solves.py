@@ -23,9 +23,14 @@ spread x_i/s_i beyond 1e16, so the set shows how many solves break down
 command line: AFIRO from its sidecar, solved by both algorithms through
 ``optlp solve --output json`` with ``--max-iter 1000``; the SHA-256 takes
 every value of the parsed reports in order, floats by their bits, so it
-shows whether a change to the report's encoding moved any value. Run it
-from the root of a checkout, before and after a change, and compare the
-output:
+shows whether a change to the report's encoding moved any value. None of
+these solves takes a ``g_root`` pair, so a fifth set, fingerprinted like the
+first, covers one: the pinned start ``G_ROOT_A/X/S`` of ``tests/helpers.py``
+(n = 4, m = 2), whose first step is a g root at theta 0.7, solved by
+``solve`` alone at theta 0.4, 0.7 and 0.99 and tol 1e-8 and 1e-12. The
+start lies outside the theta = 0.4 neighborhood, so two of its six solves
+end ``no_interior_start``. Run it from the root of a checkout, before and
+after a change, and compare the output:
 
     python tools/identical_solves.py
 """
@@ -40,14 +45,16 @@ from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from helpers import synthetic_family  # noqa: E402
+from helpers import G_ROOT_A, G_ROOT_S, G_ROOT_X, synthetic_family  # noqa: E402
 
 from optlp import cli  # noqa: E402
 from optlp.cli import read_start_file  # noqa: E402
-from optlp.model import SolverConfig  # noqa: E402
+from optlp.model import Iterate, SolverConfig, StandardLp  # noqa: E402
 from optlp.mps import parse_mps, to_standard_form  # noqa: E402
 from optlp.solver import generate_synthetic, solve, solve_shortstep_baseline  # noqa: E402
 
@@ -66,6 +73,11 @@ def blocked_problems():
             yield generate_synthetic(n, m, seed)
 
 
+def g_root_problem():
+    a, x, s = (np.array(v) for v in (G_ROOT_A, G_ROOT_X, G_ROOT_S))
+    yield StandardLp(a, a @ x, s), Iterate(x, np.zeros(2), s)
+
+
 def feed(digest, value) -> None:
     if isinstance(value, float):
         digest.update(struct.pack("<d", value))
@@ -75,14 +87,15 @@ def feed(digest, value) -> None:
         digest.update(str(value).encode())
 
 
-def fingerprint(problem_set, max_iter: int, tols=(1e-8, 1e-12)) -> None:
+def fingerprint(problem_set, max_iter: int, tols=(1e-8, 1e-12), thetas=(0.4, 0.99),
+                runners=(solve, solve_shortstep_baseline)) -> None:
     digest = hashlib.sha256()
     solves = iterations = 0
     statuses = Counter()
     origins = Counter()
     for lp, start in problem_set:
-        for runner in (solve, solve_shortstep_baseline):
-            for theta in (0.4, 0.99):
+        for runner in runners:
+            for theta in thetas:
                 for tol in tols:
                     report = runner(lp, start, SolverConfig(theta=theta, tol=tol, max_iter=max_iter))
                     for rec in report.iterations:
@@ -141,6 +154,7 @@ def main() -> int:
     fingerprint(blocked_problems(), max_iter=2000)
     fingerprint(synthetic_family(20, n_max=24), max_iter=1000, tols=(1e-14, 1e-16))
     cli_fingerprint()
+    fingerprint(g_root_problem(), max_iter=1000, thetas=(0.4, 0.7, 0.99), runners=(solve,))
     return 0
 
 
