@@ -287,6 +287,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_TOL_HELP = ("stop once mu / max(1, |c.x|, |b.y|) < TOL (default %(default)s); the gap "
+             "x.s is n mu, so the relative duality gap can reach n TOL")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built on the first call and kept: building
@@ -303,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--theta", type=float, default=None,
                          help=f"neighborhood radius (default {ALGORITHMS['optimal'][1]}; "
                          f"{ALGORITHMS['shortstep'][1]} for shortstep)")
-    p_solve.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p_solve.add_argument("--tol", type=float, default=SolverConfig.tol, help=_TOL_HELP)
     p_solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_solve.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="optimal")
     p_solve.add_argument("--start-file", default=None,
@@ -320,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="benchmark a directory of MPS files")
     p_bench.add_argument("dir")
-    p_bench.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p_bench.add_argument("--tol", type=float, default=SolverConfig.tol, help=_TOL_HELP)
     p_bench.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_bench.set_defaults(func=cmd_bench)

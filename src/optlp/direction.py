@@ -18,22 +18,26 @@ are the projections of the columns of V = [v, mu / v] (v = sqrt(x o s)) onto
 range(D A^T) = range(Q1) and onto its orthogonal complement range(Q2) =
 range(D^-1 Z) (Z any null-space basis of A; for Az = 0, (D^-1 z)^T (D A^T u)
 = (Az)^T u = 0), rescaled by D. Q is never formed: it stays as the n x m
-block of reflectors that LAPACK leaves below R1, and is applied with dormqr
-(Golub & Van Loan, Matrix Computations, 5.1.6 and 5.2). With c = Q^T V
-split into its first m rows c1 and the rest c2, the projections are
-Q [c1; 0] and Q [0; c2]: the null-space part comes from an orthogonal
-transformation, not from a subtraction that would cancel.
+block of reflectors that LAPACK leaves below R1, and is applied by
+:func:`optlp.linalg.apply_q` (Golub & Van Loan, Matrix Computations, 5.1.6
+and 5.2). With c = Q^T V split into its first m rows c1 and the rest c2,
+the projections are Q [c1; 0] and Q [0; c2]: the null-space part comes
+from an orthogonal transformation, not from a subtraction that would
+cancel.
 
 D A^T is factored by :func:`optlp.linalg.householder_qr`, the package's
-one unpivoted QR, which the rank reveal shares: dgeqrf below 64 rows,
-dgeqrt in 32-column blocks from 64 rows on (the ``linalg`` module
-docstring gives the measured crossover). Both routes end in the same
-reflectors, R1 and tau, so in the same dormqr applications. The dual
-direction comes from R1 y = c1, solved by dtrtrs on the leading m x m block
-of the factor where it lies, without a copy.
+one unpivoted QR, which the rank reveal shares: dgeqrf below 64 rows, and
+dgeqrt from 64 rows on, in 32-column blocks and in 64-column ones from 384
+rows (the ``linalg`` module docstring gives the measured crossovers). Both
+routes end in the same reflectors and R1. dgeqrf describes the reflectors'
+scalar factors by tau, which dormqr applies one reflector at a time;
+dgeqrt by the block factors T, which dgemqrt applies a block at a time;
+the route decision stays in ``linalg``. The dual direction comes from R1 y
+= c1, solved by dtrtrs on the leading m x m block of the factor where it
+lies, without a copy.
 
 Each layer hands the next the arrays it built: :func:`build_factors`
-returns (qr, tau, d) and :func:`decompose` returns (pq, y).
+returns (qr, t, d) and :func:`decompose` returns (pq, y).
 :func:`step_polynomials` returns the step quartic h as a tuple of five
 floats, highest degree first, which is how :mod:`optlp.stepsel` holds f(., 1)
 and g as well. The x and s
@@ -49,19 +53,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IllConditionedError, InvalidInputError
-from .linalg import householder_qr, lapack
+from .linalg import apply_q, householder_qr, lapack
 from .model import Iterate, StandardLp
 
 
 def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Householder QR of the iterate's scaled row space, Q [R1; 0] = D A^T.
 
-    Returns (qr, tau, d). qr (n x m, Fortran order) holds R1 on and above
-    its diagonal and, below it, the reflectors whose product is Q; tau holds
-    their scalar factors (:func:`optlp.linalg.householder_qr`). Applied
-    through them, Q1 Q1^T projects onto range(D A^T) and Q2 Q2^T onto the
-    scaled null space range(D^-1 Z) of A. R1 recovers the dual direction by
-    back-substitution. d holds sqrt(x_i/s_i).
+    Returns (qr, t, d). qr (n x m, Fortran order) holds R1 on and above
+    its diagonal and, below it, the reflectors whose product is Q; t holds
+    their scalar factors, as tau or as dgeqrt's block factors T
+    (:func:`optlp.linalg.householder_qr`). Applied through them, Q1 Q1^T
+    projects onto range(D A^T) and Q2 Q2^T onto the scaled null space
+    range(D^-1 Z) of A. R1 recovers the dual direction by back-substitution.
+    d holds sqrt(x_i/s_i).
+
+    A factor that overflowed is caught on R1's diagonal, m entries, not by
+    a scan of all n m: a non-finite reflector reaches c1 in
+    :func:`decompose`, which checks it, and a non-finite off-diagonal entry
+    of R1 reaches the dual update, which the step checks.
     """
     ratio = it.x / it.s
     # Householder QR stays accurate however widely d spreads (Cox & Higham
@@ -74,38 +84,36 @@ def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, 
     d = np.sqrt(ratio)
     # D A^T comes out in Fortran order, which either routine factors in place
     dat = (lp.a * d).T
-    qr, tau = householder_qr(dat)
-    if not np.isfinite(qr).all():
-        raise IllConditionedError("scaled QR factors are not finite", index=-1)
-    return qr, tau, d
+    qr, t = householder_qr(dat)
+    if not np.isfinite(np.diagonal(qr)).all():
+        raise IllConditionedError("scaled QR factor R1 is not finite", index=-1)
+    return qr, t, d
 
 
 def decompose(factors, it: Iterate) -> tuple[np.ndarray, np.ndarray]:
     """Split the Newton direction into its sigma-independent components.
 
-    ``factors`` is (qr, tau, d) from :func:`build_factors`. Returns (pq, y):
+    ``factors`` is (qr, t, d) from :func:`build_factors`. Returns (pq, y):
     pq is the Fortran-order (2n, 2) array [p, q] of the stacked p = (p_x;
     p_s) and q = (q_x; q_s), and y the (m, 2) array [y_p, y_q], with
 
         (dx; ds)(sigma) = p - sigma q,   dy(sigma) = -(y_p - sigma y_q).
     """
-    qr, tau, d = factors
+    qr, t, d = factors
     n, m = qr.shape
     vw = np.empty((n, 2), order="F")  # [v, mu (x o s)^{-1/2}], v = sqrt(x o s)
     v = np.sqrt(it.x * it.s, out=vw[:, 0])
     np.divide(it.mu, v, out=vw[:, 1])
-    # lwork = the operand's column count selects the unblocked dorm2r, the
-    # faster one on so few columns
-    c, _, _ = lapack.dormqr("L", "T", qr, tau, vw, 2, overwrite_c=1)
+    c = apply_q(qr, t, vw, "T")
     parts = np.zeros((n, 4), order="F")
     parts[:m, :2] = c[:m]
     parts[m:, 2:] = c[m:]
-    parts, _, _ = lapack.dormqr("L", "N", qr, tau, parts, 4, overwrite_c=1)
+    parts = apply_q(qr, t, parts, "N")
     # pq = [p, q]: D (null part) over D^-1 (row part)
     pq = np.empty((2 * n, 2), order="F")
     np.multiply(parts[:, 2:], d[:, None], out=pq[:n])
     np.divide(parts[:, :2], d[:, None], out=pq[n:])
-    # R1 y = c1, with R1 read in place: the factor was checked finite
+    # R1 y = c1, with R1 read in place: its diagonal was checked finite
     c1 = c[:m]
     if not np.isfinite(c1).all():
         raise IllConditionedError("projected right-hand side is not finite", index=-1)

@@ -9,17 +9,35 @@ already is.
 iteration factors D A^T with it (``direction.build_factors``) and the rank
 reveal factors A^T with it. It picks one of two LAPACK routines by the
 smaller dimension k of the matrix. Below 64, dgeqrf, whose panels are
-level-2 (dgeqr2); from 64 on, dgeqrt with 32-column blocks whose panels are
+level-2 (dgeqr2); from 64 on, dgeqrt with nb-column blocks whose panels are
 factored recursively in level-3 BLAS (Elmroth & Gustavson, IBM J. Res.
 Dev. 44(4), 2000). The crossover is measured on D A^T: medians per
 factorization on a 2-core Xeon with one BLAS thread, dgeqrf against dgeqrt,
 21 against 57 us at 51 x 27 (AFIRO's shape), 42 against 58 us at 123 x 48,
 within 3% of each other at 164 x 64, 254 against 194 us at 205 x 80, 1.03
-against 0.55 ms at 328 x 128 and 13.1 against 11.2 ms at 1024 x 400. dgeqrt
-leaves the same reflectors and R as dgeqrf and, instead of tau, the
-upper-triangular factors T of its block reflectors, whose diagonals are the
-tau; so both routes end in the same (qr, tau). The route goes by k, not by
-the column count, because dgeqrt needs k >= nb.
+against 0.55 ms at 328 x 128 and 13.1 against 11.2 ms at 1024 x 400. The
+route goes by k, not by the column count, because dgeqrt needs k >= nb.
+
+Both routes leave the same reflectors and R. dgeqrf returns the
+reflectors' scalar factors tau, a vector; dgeqrt returns, instead, the
+upper-triangular factors T of its nb-reflector blocks (compact WY,
+Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10(1), 1989), an nb x k
+array whose diagonals are the tau. :func:`householder_qr` hands back
+whichever it got, and :func:`apply_q` applies Q or Q^T from it: dormqr with
+tau, and dgemqrt with T, which applies each block as matrix products.
+dormqr is called with lwork equal to the operand's column count, which
+selects the unblocked dorm2r, the faster on so few columns at the small
+sizes of that route: at 51 x 27, an iteration's two applies took 8.7 us
+by dormqr against 20.4 us by dgemqrt with tau as a 1 x k T (nb = 1), and
+changed bits.
+
+dgeqrt's block size nb is 32 below WIDE_BLOCK_MIN_ROWS = 384 and 64 from
+there. Interleaved medians (41 rounds) of the QR of D A^T (n = 2.56 m)
+plus both applies of an iteration, on the same host, against nb = 32 with
+dormqr, for nb = 32 and nb = 64 with dgemqrt: 0.93x and 0.98x at m = 200,
+0.93x and 0.93x at 300, 0.94-0.95x and 0.93-0.94x at 340, 0.95-0.96x and
+0.93-0.95x at 384, 0.96x and 0.93x at 400 and 512, and 0.97x and 0.89x at
+800; nb = 64 wins beyond noise from 384 on.
 
 :func:`rank_reveal` finds the rank in two steps on one working copy of A^T
 (n x m for an m x n A): that QR, A^T = Q R, then a column-pivoted QR
@@ -61,9 +79,10 @@ from .errors import IllConditionedError, InvalidInputError
 DEFAULT_RANK_TOL = 1e-12
 
 # From this smaller dimension on, dgeqrt with nb-column blocks factors a
-# matrix, and below it dgeqrf: the measured crossover (module docstring)
+# matrix, and below it dgeqrf; nb is 32, and 64 from WIDE_BLOCK_MIN_ROWS on:
+# the measured crossovers (module docstring)
 BLOCKED_QR_MIN_ROWS = 64
-BLOCKED_QR_NB = 32
+WIDE_BLOCK_MIN_ROWS = 384
 
 
 def _load_flapack(scipy_dirs) -> ModuleType:
@@ -100,24 +119,36 @@ def as_matrix(mat) -> np.ndarray:
 
 
 def householder_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR of a Fortran-order float64 matrix, in place: (qr, tau).
+    """Householder QR of a Fortran-order float64 matrix, in place: (qr, t).
 
     qr is ``mat`` overwritten with R on and above its diagonal and the
-    reflectors below it; tau holds the reflectors' scalar factors, from
-    dgeqrf or, when min(mat.shape) >= BLOCKED_QR_MIN_ROWS, read off the
-    diagonals of the T blocks of dgeqrt (tau[k] = T[k % nb, k]).
+    reflectors below it. t describes their scalar factors: the vector tau
+    from dgeqrf or, when k = min(mat.shape) >= BLOCKED_QR_MIN_ROWS, the
+    nb x k block factors T from dgeqrt, whose diagonals hold the tau
+    (tau[j] = T[j % nb, j]). :func:`apply_q` takes either.
     """
     rows, cols = mat.shape
-    if min(rows, cols) >= BLOCKED_QR_MIN_ROWS:
-        qr, t, info = lapack.dgeqrt(BLOCKED_QR_NB, mat, overwrite_a=1)
-        k = np.arange(t.shape[1])
-        tau = t[k % BLOCKED_QR_NB, k]
+    k = min(rows, cols)
+    if k >= BLOCKED_QR_MIN_ROWS:
+        nb = 64 if k >= WIDE_BLOCK_MIN_ROWS else 32
+        qr, t, info = lapack.dgeqrt(nb, mat, overwrite_a=1)
     else:
         lwork, _ = lapack.dgeqrf_lwork(rows, cols)
-        qr, tau, _, info = lapack.dgeqrf(mat, lwork=int(lwork), overwrite_a=1)
+        qr, t, _, info = lapack.dgeqrf(mat, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise IllConditionedError(f"Householder QR failed (LAPACK info {info})", index=-1)
-    return qr, tau
+    return qr, t
+
+
+def apply_q(qr: np.ndarray, t: np.ndarray, c: np.ndarray, trans: str) -> np.ndarray:
+    """Q c (``trans`` "N") or Q^T c ("T"), in place on the Fortran-order c,
+    with Q the product of the reflectors of :func:`householder_qr`'s (qr, t):
+    by dgemqrt where t is dgeqrt's T, by dormqr where it is dgeqrf's tau."""
+    if t.ndim == 2:
+        c, _ = lapack.dgemqrt(qr, t, c, trans=trans, overwrite_c=1)
+    else:
+        c, _, _ = lapack.dormqr("L", trans, qr, t, c, c.shape[1], overwrite_c=1)
+    return c
 
 
 def rank_reveal(a) -> tuple[int, list[int]]:

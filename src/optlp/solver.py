@@ -154,11 +154,13 @@ def _exact_step(it: Iterate, direction: tuple[np.ndarray, np.ndarray]) -> Iterat
     an exact landing the landed components are themselves roundoff. In the
     scaled variables of :mod:`optlp.direction`, D^-1 x_new = v - null and
     D s_new = v - row, where v = sqrt(x o s) and [row, null] come from v by
-    2m Householder reflections (Q^T, then Q), applied by dormqr whichever
-    routine, dgeqrf or dgeqrt, made them. Each reflection is backward
-    stable in the 2-norm (Higham, Accuracy and Stability of Numerical
-    Algorithms, Lemma 19.3); with its constant taken as 1 it adds at most
-    eps ||v|| to a component, and the rescaling by D and the subtraction
+    2m Householder reflections (Q^T, then Q): one at a time by dormqr
+    after dgeqrf, a block at a time by dgemqrt after dgeqrt. Each
+    reflection is backward stable in the 2-norm (Higham, Accuracy and
+    Stability of Numerical Algorithms, Lemma 19.3), and a block applied in
+    compact WY form is too (same book, 19.5). With the constant taken as 1,
+    each reflection adds at most eps ||v|| to a component, and the
+    rescaling by D and the subtraction
     from the pre-step point add one eps ||v|| each. So landed components
     down to -2(m+1) eps ||v|| d_i (x) and -2(m+1) eps ||v|| / d_i (s) are
     roundoff. None when one is more negative than that, or when the point

@@ -144,7 +144,9 @@ def real_roots_in_open_unit(coeffs, hi: float = 1.0) -> list[float]:
 
 
 def _pair(mu: float, sigma: float, alpha: float, origin: str) -> CandidatePair:
-    return CandidatePair(sigma, alpha, mu * (1.0 - alpha * (1.0 - sigma)), origin)
+    # mu (1 - alpha (1 - sigma)) summed as two nonnegative terms: the
+    # factored form cancels when alpha (1 - sigma) is near 1
+    return CandidatePair(sigma, alpha, mu * ((1.0 - alpha) + alpha * sigma), origin)
 
 
 def select_step(h, theta: float, mu: float, n: int) -> CandidatePair:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from optlp.cli import main as cli_main, read_start_file
+from optlp.cli import REFERENCE_ITERATIONS, main as cli_main, read_start_file
 from optlp.direction import assemble_direction, build_factors, decompose, step_polynomials
 from optlp.model import Iterate, SolverConfig, residuals
 from optlp.mps import parse_mps, to_standard_form
@@ -267,11 +267,6 @@ def test_criterion_6_shortstep_dominance():
             True, f"baseline/optimal iteration ratio ~ {ratio:.1f}x")
 
 
-TABLE1_OPTIMAL_ITERS = {"afiro": 4, "blend": 13, "scagr25": 5, "scagr7": 7,
-                        "scsd1": 18, "scsd6": 26, "scsd8": 19, "sctap1": 17,
-                        "sctap2": 17, "sctap3": 18, "share1b": 11}
-
-
 def test_criterion_7_netlib_bracket(capsys):
     path = DATA / "afiro.mps"
     assert path.exists(), "tests/data/netlib/afiro.mps missing"
@@ -282,7 +277,7 @@ def test_criterion_7_netlib_bracket(capsys):
 
     report = solve(lp, start, SolverConfig(theta=0.99, tol=1e-8, max_iter=200))
     assert report.status == STATUS_OPTIMAL
-    bracket = (1, 3 * TABLE1_OPTIMAL_ITERS["afiro"])
+    bracket = (1, 3 * REFERENCE_ITERATIONS["afiro"])
     assert bracket[0] <= report.iteration_count <= bracket[1], (
         f"iterations {report.iteration_count} outside {bracket}"
     )

@@ -8,6 +8,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.optimize import linprog
 
+import optlp.direction
 from optlp.cli import read_start_file
 from optlp.direction import (
     assemble_direction,
@@ -16,7 +17,7 @@ from optlp.direction import (
     step_polynomials,
 )
 from optlp.errors import IllConditionedError, InvalidInputError
-from optlp.linalg import BLOCKED_QR_MIN_ROWS
+from optlp.linalg import BLOCKED_QR_MIN_ROWS, WIDE_BLOCK_MIN_ROWS, householder_qr
 from optlp.model import Iterate, SolverConfig, StandardLp
 from optlp.mps import parse_mps, to_standard_form
 from optlp.solver import STATUS_OPTIMAL, generate_synthetic, solve
@@ -43,16 +44,41 @@ def both_routes(problem):
     first, dgeqrt the second. The tests loop over them rather than being
     parametrized, which keeps their names."""
     blocked = generate_synthetic(160, 64, seed=77)
-    assert problem[0].m < BLOCKED_QR_MIN_ROWS <= blocked[0].m
+    assert problem[0].m < BLOCKED_QR_MIN_ROWS <= blocked[0].m < WIDE_BLOCK_MIN_ROWS
     return [problem, blocked]
+
+
+@pytest.fixture(scope="module")
+def every_route(both_routes):
+    """both_routes plus a problem that dgeqrt factors in its wider blocks:
+    one problem per factor configuration (dgeqrf, and dgeqrt at either
+    block size)."""
+    wide = generate_synthetic(500, 390, seed=77)
+    assert wide[0].m >= WIDE_BLOCK_MIN_ROWS
+    return both_routes + [wide]
+
+
+def tau_of(t):
+    """The reflectors' scalar factors: t itself from dgeqrf, or the
+    diagonals of dgeqrt's nb x k block factors T, tau[j] = T[j % nb, j]."""
+    if t.ndim == 1:
+        return t
+    j = np.arange(t.shape[1])
+    return t[j % t.shape[0], j]
+
+
+def dormqr_apply(qr, t, c, trans):
+    """Q c or Q^T c by dormqr, one reflector at a time, whichever routine
+    made the factor."""
+    return lapack.dormqr("L", trans, qr, tau_of(t), c, c.shape[1])[0]
 
 
 def reflector_bases(factors):
     """Orthonormal bases (range, null) of range(D A^T) and its complement:
     the columns of Q, formed by applying the factor's reflectors to I."""
-    qr, tau, _ = factors
+    qr, t, _ = factors
     n, m = qr.shape
-    q = lapack.dormqr("L", "N", qr, tau, np.eye(n), n)[0]
+    q = dormqr_apply(qr, t, np.eye(n), "N")
     return q[:, :m], q[:, m:]
 
 
@@ -102,12 +128,13 @@ def test_build_factors_orthonormal_and_complementary(both_routes):
 
 
 def test_blocked_route_matches_dgeqrf(both_routes):
-    # dgeqrt leaves the same reflectors and R1 as dgeqrf; its tau are read
-    # off the diagonals of T's blocks
+    # dgeqrt leaves the same reflectors and R1 as dgeqrf, and the tau on
+    # the diagonals of T's blocks
     lp, start = both_routes[1]
     rng = np.random.default_rng(8)
     for _ in range(3):
-        qr, tau, d = build_factors(lp, random_interior_iterate(lp, start, rng))
+        qr, t, d = build_factors(lp, random_interior_iterate(lp, start, rng))
+        tau = tau_of(t)
         ref, ref_tau, _, info = lapack.dgeqrf(lp.a.T * d[:, None])
         assert info == 0
         r1, ref_r1 = np.triu(qr[:lp.m]), np.triu(ref[:lp.m])
@@ -127,8 +154,8 @@ def test_build_factors_ill_conditioning_error(both_routes):
             assert exc.value.index == 3
         x = start.x.copy()
         x[3] = 1e20
-        qr, tau, _ = build_factors(lp, Iterate(x, start.y, start.s))
-        assert np.isfinite(qr).all() and np.isfinite(tau).all()
+        qr, t, _ = build_factors(lp, Iterate(x, start.y, start.s))
+        assert np.isfinite(qr).all() and np.isfinite(tau_of(t)).all()
 
 
 def test_build_factors_overflow_is_ill_conditioned(both_routes):
@@ -139,6 +166,41 @@ def test_build_factors_overflow_is_ill_conditioned(both_routes):
             big = StandardLp(lp.a * 1e305, lp.b * 1e305, lp.c * 1e305)
             with pytest.raises(IllConditionedError):
                 build_factors(big, it)
+
+
+def test_decompose_matches_dormqr_on_every_route(every_route, monkeypatch):
+    # dgemqrt applies dgeqrt's reflectors a block at a time; dormqr, given
+    # the tau on T's diagonals, applies the same ones one at a time
+    configs = []
+    for lp, start in every_route:
+        it = random_interior_iterate(lp, start, np.random.default_rng(21))
+        factors = build_factors(lp, it)
+        configs.append(factors[1].shape[0] if factors[1].ndim == 2 else "dgeqrf")
+        pq, y = decompose(factors, it)
+        with monkeypatch.context() as patch:
+            patch.setattr(optlp.direction, "apply_q", dormqr_apply)
+            ref_pq, ref_y = decompose(factors, it)
+        assert np.linalg.norm(pq - ref_pq) <= 1e-13 * np.linalg.norm(ref_pq)
+        assert np.linalg.norm(y - ref_y) <= 1e-13 * np.linalg.norm(ref_y)
+    assert configs == ["dgeqrf", 32, 64]
+
+
+@pytest.mark.parametrize("where", ["diagonal", "reflector"])
+def test_non_finite_factor_entry_is_ill_conditioned(every_route, monkeypatch, where):
+    # build_factors checks R1's diagonal alone; a NaN below it, in a
+    # reflector, reaches c1, which decompose checks
+    for lp, start in every_route:
+        row = 2 if where == "diagonal" else lp.n - 1
+
+        def planted_qr(mat, row=row):
+            qr, t = householder_qr(mat)
+            qr[row, 2] = math.nan
+            return qr, t
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optlp.direction, "householder_qr", planted_qr)
+            with pytest.raises(IllConditionedError):
+                decompose(build_factors(lp, start), start)
 
 
 def test_decompose_centered_point_merges_pq(problem):

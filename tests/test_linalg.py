@@ -25,7 +25,7 @@ def test_importing_the_package_leaves_scipy_linalg_unimported():
 def test_every_lapack_routine_called_is_scipys_own():
     called = {name for path in (SRC / "optlp").glob("*.py")
               for name in re.findall(r"\blapack\.(\w+)\(", path.read_text())}
-    assert called >= {"dgeqrf", "dgeqrf_lwork", "dgeqrt", "dgeqp3", "dormqr", "dtrtrs"}
+    assert called >= {"dgeqrf", "dgeqrf_lwork", "dgeqrt", "dgemqrt", "dgeqp3", "dormqr", "dtrtrs"}
     for name in called:
         assert getattr(linalg.lapack, name) is getattr(scipy.linalg.lapack, name)
 

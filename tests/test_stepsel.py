@@ -1,13 +1,17 @@
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from optlp.cli import read_start_file
 from optlp.direction import build_factors, decompose, step_polynomials
 from optlp.errors import DegenerateInputError, NoFeasibleStepError
 from optlp.model import Iterate, SolverConfig, StandardLp
+from optlp.mps import parse_mps, to_standard_form
 from optlp.solver import STATUS_OPTIMAL, generate_synthetic, safeguarded_step, solve
 from optlp.stepsel import (
     CandidatePair,
@@ -385,7 +389,7 @@ def unpruned_select_step(h, theta, mu):
     """select_step with g searched on all of (0, 1) and the endpoint sigma =
     1 always a candidate, as before the search stopped at the f root."""
     def pair(sigma, alpha, origin):
-        return CandidatePair(sigma, alpha, mu * (1.0 - alpha * (1.0 - sigma)), origin)
+        return CandidatePair(sigma, alpha, mu * ((1.0 - alpha) + alpha * sigma), origin)
 
     candidates = [pair(sigma, 1.0, "f_root_alpha1")
                   for sigma in real_roots_in_open_unit(f_alpha1_poly(h, theta, mu))[:1]]
@@ -413,6 +417,25 @@ def test_search_below_the_f_root_loses_no_winner():
         assert (pair.sigma, pair.alpha, pair.predicted_mu) == pytest.approx(
             (unpruned.sigma, unpruned.alpha, unpruned.predicted_mu), rel=1e-12)
     assert {"f_root_alpha1", "g_root"} <= origins
+
+
+def test_predicted_gap_is_rounded_not_cancelled():
+    """predicted_mu of AFIRO's live selections down to tol 1e-14 agrees with
+    exact rational arithmetic on the same float mu, sigma and alpha; the
+    factored mu (1 - alpha (1 - sigma)) lost up to 2e-11 of it on late steps,
+    where alpha = 1 and sigma is small."""
+    afiro = Path(__file__).parent / "data" / "netlib" / "afiro.mps"
+    lp, _ = to_standard_form(parse_mps(afiro.read_bytes()))
+    start = read_start_file(afiro.with_suffix(".start"), lp.n, lp.m)
+    for theta in (0.4, 0.99):
+        live = []
+        solve(lp, start, SolverConfig(theta=theta, tol=1e-14),
+              observer=lambda k, it, dec, h, pair: live.append((it.mu, pair)))
+        assert live
+        for mu, pair in live:
+            alpha = Fraction(pair.alpha)
+            exact = Fraction(mu) * ((1 - alpha) + alpha * Fraction(pair.sigma))
+            assert abs(Fraction(pair.predicted_mu) - exact) <= Fraction(1e-15) * exact, pair
 
 
 def test_live_solve_takes_a_g_root_step():

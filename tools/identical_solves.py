@@ -15,12 +15,12 @@ dgeqrf (``linalg.BLOCKED_QR_MIN_ROWS``). A second set, fingerprinted the
 same way after the first, covers the dgeqrt route: ``generate_synthetic``
 at (n, m) = (160, 64), (256, 100) and (384, 150) with seeds 1 and 2, with
 max_iter 2000, since the short step needs up to about 1,100 iterations at
-n = 384 and tol 1e-12. A third set, printed last, takes the tolerances to
+n = 384 and tol 1e-12. A third set takes the tolerances to
 the edge of float64: the 20 problems of ``synthetic_family(20, n_max=24)``
 at tol 1e-14 and 1e-16, otherwise as the first set. There the last iterates
 spread x_i/s_i beyond 1e16, so the set shows how many solves break down
-(``statuses``) as well as whether they changed. The last line covers the
-command line: AFIRO from its sidecar, solved by both algorithms through
+(``statuses``) as well as whether they changed. A fourth, one line, covers
+the command line: AFIRO from its sidecar, solved by both algorithms through
 ``optlp solve --output json`` with ``--max-iter 1000``; the SHA-256 takes
 every value of the parsed reports in order, floats by their bits, so it
 shows whether a change to the report's encoding moved any value. None of
@@ -29,8 +29,13 @@ first, covers one: the pinned start ``G_ROOT_A/X/S`` of ``tests/helpers.py``
 (n = 4, m = 2), whose first step is a g root at theta 0.7, solved by
 ``solve`` alone at theta 0.4, 0.7 and 0.99 and tol 1e-8 and 1e-12. The
 start lies outside the theta = 0.4 neighborhood, so two of its six solves
-end ``no_interior_start``. Run it from the root of a checkout, before and
-after a change, and compare the output:
+end ``no_interior_start``. The blocked set's problems all have fewer than
+384 rows, so dgeqrt factors them in 32-column blocks; a sixth set, printed
+last, covers the 64-column blocks it takes from
+``linalg.WIDE_BLOCK_MIN_ROWS`` on: ``generate_synthetic(1024, 400, 1)``,
+solved by ``solve`` alone at theta 0.4 and 0.99 and tol 1e-8 and 1e-12,
+fingerprinted like the first set (about 1-2 s). Run it from the root of a
+checkout, before and after a change, and compare the output:
 
     python tools/identical_solves.py
 """
@@ -71,6 +76,10 @@ def blocked_problems():
     for n, m in ((160, 64), (256, 100), (384, 150)):
         for seed in (1, 2):
             yield generate_synthetic(n, m, seed)
+
+
+def wide_block_problem():
+    yield generate_synthetic(1024, 400, 1)
 
 
 def g_root_problem():
@@ -155,6 +164,7 @@ def main() -> int:
     fingerprint(synthetic_family(20, n_max=24), max_iter=1000, tols=(1e-14, 1e-16))
     cli_fingerprint()
     fingerprint(g_root_problem(), max_iter=1000, thetas=(0.4, 0.7, 0.99), runners=(solve,))
+    fingerprint(wide_block_problem(), max_iter=1000, runners=(solve,))
     return 0
 
 
