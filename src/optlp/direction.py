@@ -27,8 +27,8 @@ cancel.
 
 D A^T is factored by :func:`optlp.linalg.householder_qr`, the package's
 one unpivoted QR, which the rank reveal shares: dgeqrf below 64 rows, and
-dgeqrt from 64 rows on, in 32-column blocks and in 64-column ones from 384
-rows (the ``linalg`` module docstring gives the measured crossovers). Both
+dgeqrt in 64-column blocks from 64 rows on (the ``linalg`` module
+docstring gives the measured crossover and block size). Both
 routes end in the same reflectors and R1. dgeqrf describes the reflectors'
 scalar factors by tau, which dormqr applies one reflector at a time;
 dgeqrt by the block factors T, which dgemqrt applies a block at a time;
@@ -70,8 +70,9 @@ def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, 
 
     A factor that overflowed is caught on R1's diagonal, m entries, not by
     a scan of all n m: a non-finite reflector reaches c1 in
-    :func:`decompose`, which checks it, and a non-finite off-diagonal entry
-    of R1 reaches the dual update, which the step checks.
+    :func:`decompose`, which checks it, and a non-finite entry above R1's
+    diagonal reaches the dual update alone, which the step checks; the
+    solve then ends in breakdown by NoFeasibleStepError.
     """
     ratio = it.x / it.s
     # Householder QR stays accurate however widely d spreads (Cox & Higham
@@ -85,7 +86,7 @@ def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, 
     # D A^T comes out in Fortran order, which either routine factors in place
     dat = (lp.a * d).T
     qr, t = householder_qr(dat)
-    if not np.isfinite(np.diagonal(qr)).all():
+    if not np.isfinite(qr.diagonal()).all():
         raise IllConditionedError("scaled QR factor R1 is not finite", index=-1)
     return qr, t, d
 

@@ -15,8 +15,9 @@ Dev. 44(4), 2000). The crossover is measured on D A^T: medians per
 factorization on a 2-core Xeon with one BLAS thread, dgeqrf against dgeqrt,
 21 against 57 us at 51 x 27 (AFIRO's shape), 42 against 58 us at 123 x 48,
 within 3% of each other at 164 x 64, 254 against 194 us at 205 x 80, 1.03
-against 0.55 ms at 328 x 128 and 13.1 against 11.2 ms at 1024 x 400. The
-route goes by k, not by the column count, because dgeqrt needs k >= nb.
+against 0.55 ms at 328 x 128 and 13.1 against 11.2 ms at 1024 x 400, with
+dgeqrt at nb = 32. The route goes by k, not by the column count,
+because dgeqrt needs k >= nb.
 
 Both routes leave the same reflectors and R. dgeqrf returns the
 reflectors' scalar factors tau, a vector; dgeqrt returns, instead, the
@@ -31,13 +32,17 @@ sizes of that route: at 51 x 27, an iteration's two applies took 8.7 us
 by dormqr against 20.4 us by dgemqrt with tau as a 1 x k T (nb = 1), and
 changed bits.
 
-dgeqrt's block size nb is 32 below WIDE_BLOCK_MIN_ROWS = 384 and 64 from
-there. Interleaved medians (41 rounds) of the QR of D A^T (n = 2.56 m)
-plus both applies of an iteration, on the same host, against nb = 32 with
-dormqr, for nb = 32 and nb = 64 with dgemqrt: 0.93x and 0.98x at m = 200,
-0.93x and 0.93x at 300, 0.94-0.95x and 0.93-0.94x at 340, 0.95-0.96x and
-0.93-0.95x at 384, 0.96x and 0.93x at 400 and 512, and 0.97x and 0.89x at
-800; nb = 64 wins beyond noise from 384 on.
+dgeqrt's block size nb is 64 (BLOCKED_QR_NB), one size for every m.
+Interleaved medians (81 rounds) of the QR of D A^T (n = 2.56 m) plus both
+applies of an iteration, on the same host, against nb = 32 with dormqr,
+for nb = 32 and nb = 64 with dgemqrt: 0.89x and 1.02x at m = 64, 0.91x and
+1.01x at 100, 0.92x and 0.99x at 150, 0.94x and 0.99x at 200, 0.94x and
+1.03x at 300, and 0.95x and 0.90x at 400. So 32-column blocks are the
+faster below about 384 rows and 64-column ones from there; one size keeps
+the gain where the QR dominates the solve, and no end-to-end run has shown
+what a size that changes with m would buy at the smaller m. Against dgeqrf
+with dormqr, dgeqrt at nb = 64 with dgemqrt takes 0.87x at m = 64, 0.85x
+at 80, 0.60x at 100 and 0.64x at 128, so the crossover stays at 64 rows.
 
 :func:`rank_reveal` finds the rank in two steps on one working copy of A^T
 (n x m for an m x n A): that QR, A^T = Q R, then a column-pivoted QR
@@ -78,11 +83,11 @@ from .errors import IllConditionedError, InvalidInputError
 
 DEFAULT_RANK_TOL = 1e-12
 
-# From this smaller dimension on, dgeqrt with nb-column blocks factors a
-# matrix, and below it dgeqrf; nb is 32, and 64 from WIDE_BLOCK_MIN_ROWS on:
-# the measured crossovers (module docstring)
+# From this smaller dimension on, dgeqrt with BLOCKED_QR_NB-column blocks
+# factors a matrix, and below it dgeqrf: the measured crossover and block
+# size (module docstring)
 BLOCKED_QR_MIN_ROWS = 64
-WIDE_BLOCK_MIN_ROWS = 384
+BLOCKED_QR_NB = 64
 
 
 def _load_flapack(scipy_dirs) -> ModuleType:
@@ -124,14 +129,14 @@ def householder_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     qr is ``mat`` overwritten with R on and above its diagonal and the
     reflectors below it. t describes their scalar factors: the vector tau
     from dgeqrf or, when k = min(mat.shape) >= BLOCKED_QR_MIN_ROWS, the
-    nb x k block factors T from dgeqrt, whose diagonals hold the tau
-    (tau[j] = T[j % nb, j]). :func:`apply_q` takes either.
+    nb x k block factors T from dgeqrt (nb = BLOCKED_QR_NB), whose
+    diagonals hold the tau (tau[j] = T[j % nb, j]). :func:`apply_q` takes
+    either.
     """
     rows, cols = mat.shape
     k = min(rows, cols)
     if k >= BLOCKED_QR_MIN_ROWS:
-        nb = 64 if k >= WIDE_BLOCK_MIN_ROWS else 32
-        qr, t, info = lapack.dgeqrt(nb, mat, overwrite_a=1)
+        qr, t, info = lapack.dgeqrt(BLOCKED_QR_NB, mat, overwrite_a=1)
     else:
         lwork, _ = lapack.dgeqrf_lwork(rows, cols)
         qr, t, _, info = lapack.dgeqrf(mat, lwork=int(lwork), overwrite_a=1)

@@ -17,10 +17,10 @@ from optlp.direction import (
     step_polynomials,
 )
 from optlp.errors import IllConditionedError, InvalidInputError
-from optlp.linalg import BLOCKED_QR_MIN_ROWS, WIDE_BLOCK_MIN_ROWS, householder_qr
+from optlp.linalg import BLOCKED_QR_MIN_ROWS, BLOCKED_QR_NB, householder_qr
 from optlp.model import Iterate, SolverConfig, StandardLp
 from optlp.mps import parse_mps, to_standard_form
-from optlp.solver import STATUS_OPTIMAL, generate_synthetic, solve
+from optlp.solver import STATUS_BREAKDOWN, STATUS_OPTIMAL, generate_synthetic, solve
 
 from helpers import (
     dense_kkt_direction,
@@ -44,18 +44,8 @@ def both_routes(problem):
     first, dgeqrt the second. The tests loop over them rather than being
     parametrized, which keeps their names."""
     blocked = generate_synthetic(160, 64, seed=77)
-    assert problem[0].m < BLOCKED_QR_MIN_ROWS <= blocked[0].m < WIDE_BLOCK_MIN_ROWS
+    assert problem[0].m < BLOCKED_QR_MIN_ROWS <= blocked[0].m
     return [problem, blocked]
-
-
-@pytest.fixture(scope="module")
-def every_route(both_routes):
-    """both_routes plus a problem that dgeqrt factors in its wider blocks:
-    one problem per factor configuration (dgeqrf, and dgeqrt at either
-    block size)."""
-    wide = generate_synthetic(500, 390, seed=77)
-    assert wide[0].m >= WIDE_BLOCK_MIN_ROWS
-    return both_routes + [wide]
 
 
 def tau_of(t):
@@ -168,11 +158,11 @@ def test_build_factors_overflow_is_ill_conditioned(both_routes):
                 build_factors(big, it)
 
 
-def test_decompose_matches_dormqr_on_every_route(every_route, monkeypatch):
+def test_decompose_matches_dormqr_on_both_routes(both_routes, monkeypatch):
     # dgemqrt applies dgeqrt's reflectors a block at a time; dormqr, given
     # the tau on T's diagonals, applies the same ones one at a time
     configs = []
-    for lp, start in every_route:
+    for lp, start in both_routes:
         it = random_interior_iterate(lp, start, np.random.default_rng(21))
         factors = build_factors(lp, it)
         configs.append(factors[1].shape[0] if factors[1].ndim == 2 else "dgeqrf")
@@ -182,25 +172,39 @@ def test_decompose_matches_dormqr_on_every_route(every_route, monkeypatch):
             ref_pq, ref_y = decompose(factors, it)
         assert np.linalg.norm(pq - ref_pq) <= 1e-13 * np.linalg.norm(ref_pq)
         assert np.linalg.norm(y - ref_y) <= 1e-13 * np.linalg.norm(ref_y)
-    assert configs == ["dgeqrf", 32, 64]
+    assert configs == ["dgeqrf", BLOCKED_QR_NB]
+
+
+def planting_nan(row):
+    """householder_qr with a NaN written into its factor at (row, 2)."""
+    def planted_qr(mat):
+        qr, t = householder_qr(mat)
+        qr[row, 2] = math.nan
+        return qr, t
+    return planted_qr
 
 
 @pytest.mark.parametrize("where", ["diagonal", "reflector"])
-def test_non_finite_factor_entry_is_ill_conditioned(every_route, monkeypatch, where):
+def test_non_finite_factor_entry_is_ill_conditioned(both_routes, monkeypatch, where):
     # build_factors checks R1's diagonal alone; a NaN below it, in a
     # reflector, reaches c1, which decompose checks
-    for lp, start in every_route:
+    for lp, start in both_routes:
         row = 2 if where == "diagonal" else lp.n - 1
-
-        def planted_qr(mat, row=row):
-            qr, t = householder_qr(mat)
-            qr[row, 2] = math.nan
-            return qr, t
-
         with monkeypatch.context() as patch:
-            patch.setattr(optlp.direction, "householder_qr", planted_qr)
+            patch.setattr(optlp.direction, "householder_qr", planting_nan(row))
             with pytest.raises(IllConditionedError):
                 decompose(build_factors(lp, start), start)
+
+
+def test_non_finite_entry_above_r1_diagonal_breaks_down(both_routes, monkeypatch):
+    # no scan sees a NaN above R1's diagonal: it reaches y alone, and the
+    # step's check on the dual update ends the solve
+    for lp, start in both_routes:
+        with monkeypatch.context() as patch:
+            patch.setattr(optlp.direction, "householder_qr", planting_nan(0))
+            report = solve(lp, start)
+        assert report.status == STATUS_BREAKDOWN
+        assert report.iteration_count == 0
 
 
 def test_decompose_centered_point_merges_pq(problem):

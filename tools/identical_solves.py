@@ -29,13 +29,8 @@ first, covers one: the pinned start ``G_ROOT_A/X/S`` of ``tests/helpers.py``
 (n = 4, m = 2), whose first step is a g root at theta 0.7, solved by
 ``solve`` alone at theta 0.4, 0.7 and 0.99 and tol 1e-8 and 1e-12. The
 start lies outside the theta = 0.4 neighborhood, so two of its six solves
-end ``no_interior_start``. The blocked set's problems all have fewer than
-384 rows, so dgeqrt factors them in 32-column blocks; a sixth set, printed
-last, covers the 64-column blocks it takes from
-``linalg.WIDE_BLOCK_MIN_ROWS`` on: ``generate_synthetic(1024, 400, 1)``,
-solved by ``solve`` alone at theta 0.4 and 0.99 and tol 1e-8 and 1e-12,
-fingerprinted like the first set (about 1-2 s). Run it from the root of a
-checkout, before and after a change, and compare the output:
+end ``no_interior_start``. Run it from the root of a checkout, before
+and after a change, and compare the output:
 
     python tools/identical_solves.py
 """
@@ -76,10 +71,6 @@ def blocked_problems():
     for n, m in ((160, 64), (256, 100), (384, 150)):
         for seed in (1, 2):
             yield generate_synthetic(n, m, seed)
-
-
-def wide_block_problem():
-    yield generate_synthetic(1024, 400, 1)
 
 
 def g_root_problem():
@@ -164,7 +155,6 @@ def main() -> int:
     fingerprint(synthetic_family(20, n_max=24), max_iter=1000, tols=(1e-14, 1e-16))
     cli_fingerprint()
     fingerprint(g_root_problem(), max_iter=1000, thetas=(0.4, 0.7, 0.99), runners=(solve,))
-    fingerprint(wide_block_problem(), max_iter=1000, runners=(solve,))
     return 0
 
 
