@@ -30,7 +30,11 @@ dormqr is called with lwork equal to the operand's column count, which
 selects the unblocked dorm2r, the faster on so few columns at the small
 sizes of that route: at 51 x 27, an iteration's two applies took 8.7 us
 by dormqr against 20.4 us by dgemqrt with tau as a 1 x k T (nb = 1), and
-changed bits.
+changed bits. dgeqrf is likewise called with lwork equal to the column
+count, the least it accepts, and without a workspace query
+(dgeqrf_lwork): reference LAPACK's dgeqrf blocks only where k exceeds
+its crossover NX = 128, so on this route, k < 64, it runs the unblocked
+dgeqr2 whatever workspace it is given, and the bits are the same.
 
 dgeqrt's block size nb is 64 (BLOCKED_QR_NB), one size for every m.
 Interleaved medians (81 rounds) of the QR of D A^T (n = 2.56 m) plus both
@@ -138,8 +142,8 @@ def householder_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if k >= BLOCKED_QR_MIN_ROWS:
         qr, t, info = lapack.dgeqrt(BLOCKED_QR_NB, mat, overwrite_a=1)
     else:
-        lwork, _ = lapack.dgeqrf_lwork(rows, cols)
-        qr, t, _, info = lapack.dgeqrf(mat, lwork=int(lwork), overwrite_a=1)
+        # unblocked at this size whatever lwork allows (module docstring)
+        qr, t, _, info = lapack.dgeqrf(mat, lwork=cols, overwrite_a=1)
     if info != 0:
         raise IllConditionedError(f"Householder QR failed (LAPACK info {info})", index=-1)
     return qr, t

@@ -40,11 +40,12 @@ def gap_and_distance(xs: np.ndarray) -> tuple[float, float]:
 
     The distance is NaN where mu overflowed, so that no neighborhood test
     ``dist <= theta * mu`` passes there: where only the sum x.s overflowed,
-    it would be inf, and inf <= inf.
+    it would be inf, and inf <= inf. x.s is taken by ``np.vdot``, which,
+    unlike ``np.dot``, does not warn where it overflows (:func:`norm`).
     """
     n = xs.shape[0] // 2
     x, s = xs[:n], xs[n:]
-    mu = float(np.dot(x, s)) / n
+    mu = float(np.vdot(x, s)) / n
     return mu, norm(x * s - mu) if mu < math.inf else math.nan
 
 
@@ -229,6 +230,7 @@ def residuals(lp: StandardLp, it: Iterate) -> tuple[float, float]:
 
 
 def stopping_criterion(lp: StandardLp, it: Iterate, tol: float) -> bool:
-    """mu / max{1, |c.x|, |b.y|} < tol."""
-    scale = max(1.0, abs(float(np.dot(lp.c, it.x))), abs(float(np.dot(lp.b, it.y))))
+    """mu / max{1, |c.x|, |b.y|} < tol, with c.x and b.y taken by
+    ``np.vdot``, without a warning where they overflow."""
+    scale = max(1.0, abs(float(np.vdot(lp.c, it.x))), abs(float(np.vdot(lp.b, it.y))))
     return it.mu / scale < tol

@@ -2,8 +2,9 @@
 
 Accepts the classical sections NAME / ROWS / COLUMNS / RHS / BOUNDS / ENDATA
 in either fixed or whitespace-delimited layout. Deliberately strict about
-everything else: RANGES, integrality markers and non-default bounds are
-rejected rather than silently mangled.
+everything else: RANGES, integrality markers, any bound but the redundant
+LO 0, and a second RHS entry for a row are rejected while the file is read,
+each with its line, rather than silently mangled.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class MpsProblem:
     row_kinds: list[tuple[str, str]] = field(default_factory=list)  # (kind, row)
     columns: list[tuple[str, str, float]] = field(default_factory=list)
     rhs: list[tuple[str, float]] = field(default_factory=list)
-    bounds: list[tuple[str, str, float | None]] = field(default_factory=list)
 
     def objective_row(self) -> str:
         for kind, row in self.row_kinds:
@@ -70,6 +70,7 @@ def parse_mps(text) -> MpsProblem:
     row_kind_of: dict[str, str] = {}
     seen_cols: dict[str, None] = {}
     seen_pairs: set[tuple[str, str]] = set()
+    rhs_rows: set[str] = set()
     section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -138,6 +139,9 @@ def parse_mps(text) -> MpsProblem:
                 row = pairs[i]
                 if row not in row_kind_of:
                     raise MpsParseError(f"RHS for undeclared row {row!r}", line=lineno)
+                if row in rhs_rows:
+                    raise MpsParseError(f"second RHS entry for row {row!r}", line=lineno)
+                rhs_rows.add(row)
                 prob.rhs.append((row, _parse_number(pairs[i + 1], lineno)))
         elif section == "BOUNDS":
             kind = tokens[0].upper()
@@ -153,7 +157,12 @@ def parse_mps(text) -> MpsProblem:
                 raise MpsParseError(f"unknown bound kind {tokens[0]!r}", line=lineno)
             if col not in seen_cols:
                 raise MpsParseError(f"bound for undeclared column {col!r}", line=lineno)
-            prob.bounds.append((kind, col, value))
+            if not (kind == "LO" and value == 0.0):
+                shown = f"{kind} {col}" + (f" {value}" if value is not None else "")
+                raise UnsupportedMpsFeatureError(
+                    f"bound '{shown}' is not supported; only the default x >= 0 is",
+                    line=lineno,
+                )
         else:
             raise MpsParseError("data line outside any section", line=lineno)
 
@@ -167,18 +176,10 @@ def to_standard_form(prob: MpsProblem) -> tuple[StandardLp, dict[str, int]]:
 
     Every 'le' row gains a +1 slack column; every 'ge' row is negated and
     then gains a +1 slack, so all logical columns enter with coefficient +1
-    and the uniform bound x >= 0. Only default bounds (and the redundant
-    LO 0) are accepted. Returns the LP and the column-name -> index map,
-    slacks included.
+    and the uniform bound x >= 0, the only one :func:`parse_mps` lets
+    through. Returns the LP and the column-name -> index map, slacks
+    included.
     """
-    for kind, col, value in prob.bounds:
-        if kind == "LO" and value == 0.0:
-            continue
-        shown = f"{kind} {col}" + (f" {value}" if value is not None else "")
-        raise UnsupportedMpsFeatureError(
-            f"bound '{shown}' is not supported; only the default x >= 0 is"
-        )
-
     obj_row = prob.objective_row()
     rows = [(kind, row) for kind, row in prob.row_kinds if kind != "objective"]
     row_index = {row: i for i, (_, row) in enumerate(rows)}
@@ -222,7 +223,9 @@ def to_standard_form(prob: MpsProblem) -> tuple[StandardLp, dict[str, int]]:
 def format_mps(prob: MpsProblem) -> str:
     """Serialize in the normalized layout this parser reads back verbatim.
 
-    Values are written with ``repr`` so parse(format(p)) == p exactly.
+    Values are written with ``repr`` so parse(format(p)) == p exactly. No
+    BOUNDS section is written: a parsed problem holds only the default
+    x >= 0.
     """
     lines = [f"NAME          {prob.name}".rstrip()]
     lines.append("ROWS")
@@ -234,20 +237,13 @@ def format_mps(prob: MpsProblem) -> str:
     lines.append("RHS")
     for row, value in prob.rhs:
         lines.append(f"    RHS  {row}  {value!r}")
-    if prob.bounds:
-        lines.append("BOUNDS")
-        for kind, col, value in prob.bounds:
-            if value is None:
-                lines.append(f" {kind} BND  {col}")
-            else:
-                lines.append(f" {kind} BND  {col}  {value!r}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
 
-def from_standard_lp(lp: StandardLp, name: str | None = None) -> MpsProblem:
+def from_standard_lp(lp: StandardLp) -> MpsProblem:
     """Express an all-equality LP as an MpsProblem (used by `generate`)."""
-    prob = MpsProblem(name=name if name is not None else (lp.name or "GENERATED"))
+    prob = MpsProblem(name=lp.name or "GENERATED")
     width = max(4, len(str(lp.n)))
     cols = [f"X{j + 1:0{width}d}" for j in range(lp.n)]
     rows = [f"R{i + 1:0{width}d}" for i in range(lp.m)]

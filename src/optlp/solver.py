@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,21 +75,6 @@ class SolveReport:
     @property
     def iteration_count(self) -> int:
         return len(self.iterations)
-
-
-def _make_record(lp: StandardLp, k: int, it: Iterate, sigma: float, alpha: float,
-                 origin: str) -> IterationRecord:
-    pr, dr = residuals(lp, it)
-    return IterationRecord(
-        k=k,
-        mu=it.mu,
-        sigma=sigma,
-        alpha=alpha,
-        neighborhood_dist=it.neighborhood_dist,
-        primal_res=pr,
-        dual_res=dr,
-        origin=origin,
-    )
 
 
 def _in_neighborhood(mu: float, dist: float, theta: float) -> bool:
@@ -214,7 +199,8 @@ def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
             log.warning("%s: breakdown at iteration %d: %s", lp.name or "LP", k, exc)
             status = STATUS_BREAKDOWN
             break
-        records.append(_make_record(lp, k, it, pair.sigma, alpha, pair.origin))
+        records.append(IterationRecord(k, it.mu, pair.sigma, alpha, it.neighborhood_dist,
+                                       *residuals(lp, it), pair.origin))
         log.debug(
             "%s: k=%d mu=%.6e sigma=%.4f alpha=%.4f origin=%s",
             lp.name or "LP", k, it.mu, pair.sigma, alpha, pair.origin,
@@ -244,8 +230,17 @@ def solve(
     cfg = cfg if cfg is not None else SolverConfig()
 
     def choose(dec, it):
-        h = step_polynomials(dec)
-        return select_step(h, cfg.theta, it.mu, lp.n), h
+        # h grows as mu^2 and would overflow from mu ~ 1e154, so it is formed
+        # from pq scaled by 2^-k, mu ~ 4^k: h comes out scaled by 2^-4k with
+        # every product exact, and select_step gets mu 4^-k to match. The
+        # gap and h are scaled back by 2^k at a time, as 2^4k may overflow
+        k = math.frexp(it.mu)[1] // 2
+        up = math.ldexp(1.0, k)
+        pq, y = dec
+        h = step_polynomials((pq / up, y))
+        pair = select_step(h, cfg.theta, it.mu / up / up, lp.n)
+        return (replace(pair, predicted_mu=pair.predicted_mu * up * up),
+                tuple(c * up * up * up * up for c in h))
 
     return _iterate(lp, start, cfg, choose, observer)
 

@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 
 import optlp
-from optlp.model import Iterate
+from optlp.model import Iterate, StandardLp
 from optlp.solver import generate_synthetic
 
 # the directory this suite imports optlp from
@@ -34,6 +34,22 @@ G_ROOT_A = [[0.16210339, -0.32808343, 0.46377585, 0.083694697],
             [0.019377321, -1.1445052, 1.7112299, 0.30188392]]
 G_ROOT_X = [0.038777368, 0.46389292, 90.846808, 1.1815073]
 G_ROOT_S = [11.062421, 2.979154, 0.0120026, 0.92984784]
+
+
+def centred_gaussian_lp(seed, scale, n=8, m=3):
+    """A Gaussian m x n LP whose start x = s = scale e, y = 0 is feasible and
+    exactly centred: b = A x and c = s. For a power-of-two ``scale`` the LPs
+    of one seed differ by that power alone, so every iterate does too."""
+    a = np.random.default_rng(seed).normal(size=(m, n))
+    x = np.full(n, float(scale))
+    return StandardLp(a, a @ x, x, name=f"centred-seed{seed}"), Iterate(x, np.zeros(m), x)
+
+
+def scale_family():
+    """:func:`centred_gaussian_lp` at scales 2^32 and 2^256, seeds 0-2: mu
+    starts at 2^64 and 2^512, so the step quartic h, which grows as mu^2,
+    would overflow on the second."""
+    return [centred_gaussian_lp(seed, 2.0**k) for seed in range(3) for k in (32, 256)]
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

@@ -19,7 +19,7 @@ from optlp.cli import (
 from optlp.mps import format_mps, from_standard_lp, parse_mps, to_standard_form
 from optlp.solver import STATUS_OPTIMAL, generate_synthetic, solve
 
-from helpers import run_python
+from helpers import centred_gaussian_lp, run_python
 
 NETLIB = Path(__file__).parent / "data" / "netlib"
 
@@ -283,6 +283,31 @@ def test_overflowing_row_sums_leave_no_start(tmp_path, capsys):
         assert "no interior starting point" in capsys.readouterr().err
         assert main(["bench", str(tmp_path)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1] == "overflow,start-failed,start-failed,"
+
+
+def _write_centred_lp(tmp_path, scale):
+    lp, start = centred_gaussian_lp(0, scale)
+    path = tmp_path / "centred.mps"
+    path.write_text(format_mps(from_standard_lp(lp)))
+    write_start_file(path.with_suffix(".start"), start)
+    return path, path.with_suffix(".start")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_gap_beyond_1e154_solves_without_a_warning(tmp_path, capsys):
+    # x = s = 1e80 e, so mu = 1e160 and the step quartic h, about mu^2,
+    # would overflow unless it is formed scaled
+    path, start = _write_centred_lp(tmp_path, 1e80)
+    assert main(["solve", str(path), "--start-file", str(start)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_start_gap_is_no_start_without_a_warning(tmp_path, capsys):
+    # x = s = 1e160 e: x.s overflows, with no RuntimeWarning from the product
+    path, start = _write_centred_lp(tmp_path, 1e160)
+    assert main(["solve", str(path), "--start-file", str(start)]) == EXIT_NO_START
+    assert "no_interior_start" in capsys.readouterr().err
 
 
 def test_off_centre_heuristic_start_is_rejected_by_the_solver(tmp_path, capsys):

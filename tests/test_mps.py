@@ -76,6 +76,85 @@ def test_parse_errors_carry_line_numbers():
     assert "line 9" in str(exc.value)
 
 
+def _insert_after(line: str, new: str) -> str:
+    return MINIMAL.replace(line, line + new, 1)
+
+
+def _with_bound(line: str) -> str:
+    """MINIMAL with a BOUNDS section holding ``line``, which is line 12."""
+    return MINIMAL.replace("ENDATA\n", "BOUNDS\n" + line + "ENDATA\n")
+
+
+# every rejection of a line: (error class, text, line of the fault, message)
+LINE_REJECTIONS = {
+    "bad number": (MpsParseError, MINIMAL.replace("COST  1.5", "COST  1.5x"), 6,
+                   "bad numeric field"),
+    "non-finite number": (MpsParseError, MINIMAL.replace("BAL  4.0", "BAL  nan"), 10,
+                          "non-finite numeric field"),
+    "RANGES": (UnsupportedMpsFeatureError,
+               MINIMAL.replace("RHS\n", "RANGES\n    R  BAL  1.0\nRHS\n"), 9, "RANGES"),
+    "unknown section": (MpsParseError, MINIMAL.replace("RHS\n", "JUNK\n"), 9,
+                        "unknown section"),
+    "outside any section": (MpsParseError,
+                            _insert_after("NAME          TINY\n", "    X1  COST  1.0\n"), 2,
+                            "data line outside any section"),
+    "ROWS arity": (MpsParseError, MINIMAL.replace(" E  BAL\n", " E  BAL  MORE\n"), 4,
+                   "ROWS lines need"),
+    "row kind": (MpsParseError, MINIMAL.replace(" E  BAL\n", " Q  BAL\n"), 4,
+                 "unknown row kind"),
+    "repeated row": (MpsParseError, _insert_after(" E  BAL\n", " L  BAL\n"), 5,
+                     "row 'BAL' declared twice"),
+    "second N row": (MpsParseError, _insert_after(" E  BAL\n", " N  COST2\n"), 5,
+                     "more than one objective"),
+    "MARKER": (UnsupportedMpsFeatureError,
+               _insert_after("    X1  BAL  1.0\n", "    MARK  'MARKER'  'INTORG'\n"), 8,
+               "integrality markers"),
+    "COLUMNS arity": (MpsParseError, MINIMAL.replace("    X2  BAL  1.0", "    X2  BAL"), 8,
+                      "COLUMNS lines need"),
+    "COLUMNS undeclared row": (MpsParseError, MINIMAL.replace("X2  BAL", "X2  NOPE"), 8,
+                               "coefficient for undeclared row"),
+    "repeated pair": (MpsParseError, MINIMAL.replace("    X2  BAL  1.0", "    X1  BAL  2.0"), 8,
+                      "duplicate coefficient"),
+    "RHS arity": (MpsParseError, MINIMAL.replace("    RHS  BAL  4.0", "    RHS"), 10,
+                  "RHS lines need"),
+    "RHS undeclared row": (MpsParseError, MINIMAL.replace("RHS  BAL", "RHS  NOPE"), 10,
+                           "RHS for undeclared row"),
+    "repeated RHS row": (MpsParseError,
+                         _insert_after("    RHS  BAL  4.0\n", "    RHS2  BAL  9.0\n"), 11,
+                         "second RHS entry for row 'BAL'"),
+    "repeated RHS row in one line": (MpsParseError,
+                                     MINIMAL.replace("RHS  BAL  4.0", "RHS  BAL  4.0  BAL  9.0"),
+                                     10, "second RHS entry for row 'BAL'"),
+    "bound kind": (MpsParseError, _with_bound(" XX BND  X1  1.0\n"), 12, "unknown bound kind"),
+    "bound arity": (MpsParseError, _with_bound(" UP BND  X1\n"), 12, "UP bounds take"),
+    "bound undeclared column": (MpsParseError, _with_bound(" LO BND  X9  0.0\n"), 12,
+                                "bound for undeclared column"),
+    "unsupported bound kind": (UnsupportedMpsFeatureError, _with_bound(" FR BND  X1\n"), 12,
+                               "bound 'FR X1' is not supported"),
+    "LO bound not 0": (UnsupportedMpsFeatureError, _with_bound(" LO BND  X1  1.0\n"), 12,
+                       "bound 'LO X1 1.0' is not supported"),
+}
+
+
+@pytest.mark.parametrize("case", LINE_REJECTIONS)
+def test_every_line_rejection_carries_its_line(case):
+    cls, text, line, message = LINE_REJECTIONS[case]
+    with pytest.raises(MpsParseError) as exc:
+        parse_mps(text)
+    assert type(exc.value) is cls
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("text", [b"NAME X\n\xff\xfe\n",
+                                  MINIMAL.replace(" N  COST\n", "").replace("    X1  COST  1.5\n", "")],
+                         ids=["not UTF-8", "no N row"])
+def test_file_level_rejections_have_no_line(text):
+    with pytest.raises(MpsParseError) as exc:
+        parse_mps(text)
+    assert exc.value.line is None
+
+
 def test_parse_rejects_duplicates_and_undeclared():
     dup = MINIMAL.replace("    X2  BAL  1.0\n", "    X1  BAL  2.0\n")
     with pytest.raises(MpsParseError, match="duplicate"):
@@ -179,11 +258,13 @@ def test_standard_form_equality_only_untouched():
 
 
 def test_standard_form_rejects_nondefault_bounds():
+    # the reader rejects the bound, with its line, before any standard form
     text = MINIMAL.replace(
         "ENDATA\n", "BOUNDS\n UP BND  X1  5.0\nENDATA\n"
     )
-    with pytest.raises(UnsupportedMpsFeatureError, match="UP X1 5.0"):
-        to_standard_form(parse_mps(text))
+    with pytest.raises(UnsupportedMpsFeatureError, match="^line 12: bound 'UP X1 5.0'") as exc:
+        parse_mps(text)
+    assert exc.value.line == 12
     # redundant LO 0 bound is fine
     lo = MINIMAL.replace("ENDATA\n", "BOUNDS\n LO BND  X1  0.0\nENDATA\n")
     lp, _ = to_standard_form(parse_mps(lo))

@@ -26,7 +26,7 @@ from optlp.solver import (
 )
 from optlp.stepsel import CandidatePair
 
-from helpers import synthetic_family
+from helpers import centred_gaussian_lp, synthetic_family
 
 NETLIB = Path(__file__).parent / "data" / "netlib"
 
@@ -183,6 +183,20 @@ def test_shortstep_default_config_solves_afiro():
     report = solve_shortstep_baseline(lp, read_start_file(NETLIB / "afiro.start", lp.n, lp.m))
     assert report.status == STATUS_OPTIMAL
     assert report.iteration_count == 290
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("runner", [solve, solve_shortstep_baseline])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_power_of_two_scaling_scales_every_iterate_exactly(runner, seed):
+    # x = s = 2^32 e against 2^256 e: mu starts at 2^64 and 2^512, where the
+    # step quartic h, about mu^2, would overflow unless it is formed scaled
+    small, large = (runner(*centred_gaussian_lp(seed, 2.0**k)) for k in (32, 256))
+    assert small.status == large.status == STATUS_OPTIMAL
+    assert ([(r.sigma, r.alpha, r.origin) for r in small.iterations]
+            == [(r.sigma, r.alpha, r.origin) for r in large.iterations])
+    assert [r.mu * 2.0**448 for r in small.iterations] == [r.mu for r in large.iterations]
+    assert np.array_equal(small.final.x * 2.0**224, large.final.x)
 
 
 def test_solve_observer_sees_every_iteration():

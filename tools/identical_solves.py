@@ -29,8 +29,12 @@ first, covers one: the pinned start ``G_ROOT_A/X/S`` of ``tests/helpers.py``
 (n = 4, m = 2), whose first step is a g root at theta 0.7, solved by
 ``solve`` alone at theta 0.4, 0.7 and 0.99 and tol 1e-8 and 1e-12. The
 start lies outside the theta = 0.4 neighborhood, so two of its six solves
-end ``no_interior_start``. Run it from the root of a checkout, before
-and after a change, and compare the output:
+end ``no_interior_start``. A sixth set, fingerprinted like the first,
+covers gaps far from 1: ``tests/helpers.py::scale_family()``, 8 x 3
+Gaussian LPs with seeds 0-2 from the exactly centred start x = s = 2^k e
+(k = 32 and 256), whose gap mu starts at 2^64 and 2^512. The two LPs of a
+seed differ by a power of two alone, and so do their iterates. Run it from
+the root of a checkout, before and after a change, and compare the output:
 
     python tools/identical_solves.py
 """
@@ -50,7 +54,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from helpers import G_ROOT_A, G_ROOT_S, G_ROOT_X, synthetic_family  # noqa: E402
+from helpers import G_ROOT_A, G_ROOT_S, G_ROOT_X, scale_family, synthetic_family  # noqa: E402
 
 from optlp import cli  # noqa: E402
 from optlp.cli import read_start_file  # noqa: E402
@@ -155,6 +159,7 @@ def main() -> int:
     fingerprint(synthetic_family(20, n_max=24), max_iter=1000, tols=(1e-14, 1e-16))
     cli_fingerprint()
     fingerprint(g_root_problem(), max_iter=1000, thetas=(0.4, 0.7, 0.99), runners=(solve,))
+    fingerprint(scale_family(), max_iter=1000)
     return 0
 
 
