@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -183,8 +184,9 @@ def cmd_solve(args) -> int:
     report = getattr(solver, runner_name)(lp, start, cfg)
     if args.output == "json":
         # one string and one write: json.dump writes every token separately;
-        # without indent, json's C encoder makes the string
-        print(json.dumps(report_to_dict(report, lp.name)))
+        # without indent, json's C encoder makes the string. The report
+        # holds no cycle, so the encoder's check for one per container goes
+        print(json.dumps(report_to_dict(report, lp.name), check_circular=False))
     else:
         _print_text_report(report, lp.name, sys.stdout)
     if report.status != STATUS_OPTIMAL:
@@ -213,14 +215,15 @@ def cmd_generate(args) -> int:
 def _bench_one(path: Path, runs):
     """Solves one file from one start with each (runner, config) of
     ``runs``, optimal then baseline. Returns (problem, iters_optimal,
-    iters_baseline, start_found); iteration fields hold strings for
-    failures."""
+    iters_baseline, secs_optimal, secs_baseline, start_found); iteration
+    fields hold strings for failures, and each seconds field holds its
+    solve's wall time, or is empty where no solve ran."""
     name = path.stem
     try:
         lp = _load_problem(path)
     except (OptLpError, OSError) as exc:
         log.warning("%s: %s", path, exc)
-        return name, "failed", "failed", False
+        return name, "failed", "failed", "", "", False
     sidecar = path.with_suffix(".start")
     start = None
     try:
@@ -228,11 +231,13 @@ def _bench_one(path: Path, runs):
     except (OptLpError, OSError) as exc:
         log.warning("%s: start file rejected: %s", path, exc)
     if start is None:
-        return name, "start-failed", "start-failed", False
-    results = []
+        return name, "start-failed", "start-failed", "", "", False
+    results, seconds = [], []
     start_found = False
     for runner, cfg in runs:
+        began = time.perf_counter()
         report = runner(lp, start, cfg)
+        seconds.append(f"{time.perf_counter() - began:.6f}")
         if report.status == STATUS_NO_START:
             results.append("start-failed")
             continue
@@ -241,7 +246,7 @@ def _bench_one(path: Path, runs):
             results.append(report.iteration_count)
         else:
             results.append("failed")
-    return name, results[0], results[1], start_found
+    return name, *results, *seconds, start_found
 
 
 def cmd_bench(args) -> int:
@@ -269,13 +274,14 @@ def cmd_bench(args) -> int:
     try:
         rows = [_bench_one(p, runs) for p in paths]
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["problem", "iters_optimal", "iters_baseline", "paper_iters"])
+        writer.writerow(["problem", "iters_optimal", "iters_baseline", "paper_iters",
+                         "secs_optimal", "secs_baseline"])
         started = 0
-        for name, opt_iters, base_iters, start_found in rows:
+        for name, opt_iters, base_iters, opt_secs, base_secs, start_found in rows:
             ref = REFERENCE_ITERATIONS.get(name.lower(), "")
             if name.lower() in REFERENCE_ITERATIONS and start_found:
                 started += 1
-            writer.writerow([name, opt_iters, base_iters, ref])
+            writer.writerow([name, opt_iters, base_iters, ref, opt_secs, base_secs])
     finally:
         if args.out:
             out.close()

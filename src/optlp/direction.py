@@ -26,15 +26,12 @@ from an orthogonal transformation, not from a subtraction that would
 cancel.
 
 D A^T is factored by :func:`optlp.linalg.householder_qr`, the package's
-one unpivoted QR, which the rank reveal shares: dgeqrf below 64 rows, and
-dgeqrt in 64-column blocks from 64 rows on (the ``linalg`` module
-docstring gives the measured crossover and block size). Both
-routes end in the same reflectors and R1. dgeqrf describes the reflectors'
-scalar factors by tau, which dormqr applies one reflector at a time;
-dgeqrt by the block factors T, which dgemqrt applies a block at a time;
-the route decision stays in ``linalg``. The dual direction comes from R1 y
-= c1, solved by dtrtrs on the leading m x m block of the factor where it
-lies, without a copy.
+one unpivoted QR, which the rank reveal shares; its two LAPACK routes, and
+how :func:`~optlp.linalg.apply_q` applies Q on each, are measured and
+chosen in the ``linalg`` module docstring. The dual direction comes from
+R1 y = c1, solved by dtrtrs on the leading m x m block of the factor where
+it lies, without a copy. v = sqrt(x o s) is taken from the product the
+iterate carries (:class:`~optlp.model.Iterate`).
 
 Each layer hands the next the arrays it built: :func:`build_factors`
 returns (qr, t, d) and :func:`decompose` returns (pq, y).
@@ -50,11 +47,13 @@ entries, which the step subtracts from (x; s) as it is.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import IllConditionedError, InvalidInputError
 from .linalg import apply_q, householder_qr, lapack
-from .model import Iterate, StandardLp
+from .model import Iterate, StandardLp, norm
 
 
 def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,7 +76,7 @@ def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, 
     ratio = it.x / it.s
     # Householder QR stays accurate however widely d spreads (Cox & Higham
     # 1998): only a ratio that overflowed to inf or underflowed to 0 fails
-    if not (0.0 < ratio.min() and ratio.max() < np.inf):
+    if not (0.0 < ratio.min() and norm(ratio) < math.inf):
         i = int(np.argmin((ratio > 0.0) & (ratio < np.inf)))
         raise IllConditionedError(
             f"x[{i}]/s[{i}] = {ratio[i]:.3e} is not a finite positive number", index=i
@@ -86,7 +85,7 @@ def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, 
     # D A^T comes out in Fortran order, which either routine factors in place
     dat = (lp.a * d).T
     qr, t = householder_qr(dat)
-    if not np.isfinite(qr.diagonal()).all():
+    if not norm(qr.diagonal()) < math.inf:
         raise IllConditionedError("scaled QR factor R1 is not finite", index=-1)
     return qr, t, d
 
@@ -103,7 +102,7 @@ def decompose(factors, it: Iterate) -> tuple[np.ndarray, np.ndarray]:
     qr, t, d = factors
     n, m = qr.shape
     vw = np.empty((n, 2), order="F")  # [v, mu (x o s)^{-1/2}], v = sqrt(x o s)
-    v = np.sqrt(it.x * it.s, out=vw[:, 0])
+    v = np.sqrt(it.xos, out=vw[:, 0])
     np.divide(it.mu, v, out=vw[:, 1])
     c = apply_q(qr, t, vw, "T")
     parts = np.zeros((n, 4), order="F")
@@ -115,8 +114,8 @@ def decompose(factors, it: Iterate) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(parts[:, 2:], d[:, None], out=pq[:n])
     np.divide(parts[:, :2], d[:, None], out=pq[n:])
     # R1 y = c1, with R1 read in place: its diagonal was checked finite
-    c1 = c[:m]
-    if not np.isfinite(c1).all():
+    c1 = c[:m].copy()  # contiguous, so that norm reads it in one ddot
+    if not norm(c1) < math.inf:
         raise IllConditionedError("projected right-hand side is not finite", index=-1)
     y, info = lapack.dtrtrs(qr, c1)
     if info > 0:

@@ -11,13 +11,8 @@ reveal factors A^T with it. It picks one of two LAPACK routines by the
 smaller dimension k of the matrix. Below 64, dgeqrf, whose panels are
 level-2 (dgeqr2); from 64 on, dgeqrt with nb-column blocks whose panels are
 factored recursively in level-3 BLAS (Elmroth & Gustavson, IBM J. Res.
-Dev. 44(4), 2000). The crossover is measured on D A^T: medians per
-factorization on a 2-core Xeon with one BLAS thread, dgeqrf against dgeqrt,
-21 against 57 us at 51 x 27 (AFIRO's shape), 42 against 58 us at 123 x 48,
-within 3% of each other at 164 x 64, 254 against 194 us at 205 x 80, 1.03
-against 0.55 ms at 328 x 128 and 13.1 against 11.2 ms at 1024 x 400, with
-dgeqrt at nb = 32. The route goes by k, not by the column count,
-because dgeqrt needs k >= nb.
+Dev. 44(4), 2000). The route goes by k, not by the column count, because
+dgeqrt needs k >= nb; the crossover is measured below.
 
 Both routes leave the same reflectors and R. dgeqrf returns the
 reflectors' scalar factors tau, a vector; dgeqrt returns, instead, the
@@ -34,19 +29,19 @@ changed bits. dgeqrf is likewise called with lwork equal to the column
 count, the least it accepts, and without a workspace query
 (dgeqrf_lwork): reference LAPACK's dgeqrf blocks only where k exceeds
 its crossover NX = 128, so on this route, k < 64, it runs the unblocked
-dgeqr2 whatever workspace it is given, and the bits are the same.
+dgeqr2 whatever workspace it is given, and the bits are the same. The
+wrappers' optional arguments, overwrite_a and overwrite_c, are passed by
+position: f2py parses a keyword at about 0.3 us a call.
 
-dgeqrt's block size nb is 64 (BLOCKED_QR_NB), one size for every m.
-Interleaved medians (81 rounds) of the QR of D A^T (n = 2.56 m) plus both
-applies of an iteration, on the same host, against nb = 32 with dormqr,
-for nb = 32 and nb = 64 with dgemqrt: 0.89x and 1.02x at m = 64, 0.91x and
-1.01x at 100, 0.92x and 0.99x at 150, 0.94x and 0.99x at 200, 0.94x and
-1.03x at 300, and 0.95x and 0.90x at 400. So 32-column blocks are the
-faster below about 384 rows and 64-column ones from there; one size keeps
-the gain where the QR dominates the solve, and no end-to-end run has shown
-what a size that changes with m would buy at the smaller m. Against dgeqrf
-with dormqr, dgeqrt at nb = 64 with dgemqrt takes 0.87x at m = 64, 0.85x
-at 80, 0.60x at 100 and 0.64x at 128, so the crossover stays at 64 rows.
+dgeqrt's block size nb is 64 (BLOCKED_QR_NB), one size for every m. The
+QR of D A^T (n = 2.56 m) plus an iteration's two applies, with dgemqrt at
+nb = 32 and at nb = 64, took 0.89x and 1.02x of nb = 32 with dormqr at
+m = 64, and 0.95x and 0.90x at m = 400 (interleaved medians of 81 rounds):
+32-column blocks are the faster below about 384 rows, and one size keeps
+the gain where the QR dominates the solve. Against dgeqrf with dormqr,
+dgeqrt at nb = 64 takes 0.87x at m = 64 and 0.64x at 128, so the crossover
+stays at 64 rows; at 51 x 27 (AFIRO's shape) the QR alone took 21 us by
+dgeqrf against 57 us by dgeqrt (medians, 2-core Xeon, one BLAS thread).
 
 :func:`rank_reveal` finds the rank in two steps on one working copy of A^T
 (n x m for an m x n A): that QR, A^T = Q R, then a column-pivoted QR
@@ -61,17 +56,14 @@ A^T, half of whose flops are matrix-vector products. The extra memory is
 the n x m copy, freed before dgeqp3 runs, and R.
 
 :data:`lapack` is the one handle on LAPACK in the package: scipy's f2py
-extension module ``scipy.linalg._flapack``, the very object whose routines
+extension module ``scipy.linalg._flapack``, whose routines
 ``scipy.linalg.lapack`` re-exports, so every call and every bit are those
-of scipy's wrappers. It is loaded from its file, found under the ``scipy``
-package's search locations, and not imported by name, because naming it
-runs ``scipy/linalg/__init__.py`` first: with scipy 1.17 that package
-import pulls in numpy.f2py, numpy.testing, numpy.ma and numpy.random
-(through ``scipy._lib.array_api_compat``) and takes about 0.25 s, against
-about 0.1 s for the rest of ``import optlp.cli`` (``python -X importtime``
-on a 2-core Xeon). A scipy whose package
-directory holds no such file, such as an editable install, gets
-``scipy.linalg.lapack`` by its package import instead.
+of scipy's wrappers. It is loaded from its file under the ``scipy``
+package's search locations, because importing it by name runs
+``scipy/linalg/__init__.py``, which with scipy 1.17 takes about 0.25 s
+against about 0.1 s for the rest of ``import optlp.cli`` (``python -X
+importtime``). A scipy with no such file, such as an editable install,
+gets ``scipy.linalg.lapack`` by its package import instead.
 """
 
 from __future__ import annotations
@@ -140,10 +132,10 @@ def householder_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = mat.shape
     k = min(rows, cols)
     if k >= BLOCKED_QR_MIN_ROWS:
-        qr, t, info = lapack.dgeqrt(BLOCKED_QR_NB, mat, overwrite_a=1)
+        qr, t, info = lapack.dgeqrt(BLOCKED_QR_NB, mat, 1)
     else:
         # unblocked at this size whatever lwork allows (module docstring)
-        qr, t, _, info = lapack.dgeqrf(mat, lwork=cols, overwrite_a=1)
+        qr, t, _, info = lapack.dgeqrf(mat, cols, 1)
     if info != 0:
         raise IllConditionedError(f"Householder QR failed (LAPACK info {info})", index=-1)
     return qr, t
@@ -154,9 +146,9 @@ def apply_q(qr: np.ndarray, t: np.ndarray, c: np.ndarray, trans: str) -> np.ndar
     with Q the product of the reflectors of :func:`householder_qr`'s (qr, t):
     by dgemqrt where t is dgeqrt's T, by dormqr where it is dgeqrf's tau."""
     if t.ndim == 2:
-        c, _ = lapack.dgemqrt(qr, t, c, trans=trans, overwrite_c=1)
+        c, _ = lapack.dgemqrt(qr, t, c, "L", trans, 1)
     else:
-        c, _, _ = lapack.dormqr("L", trans, qr, t, c, c.shape[1], overwrite_c=1)
+        c, _, _ = lapack.dormqr("L", trans, qr, t, c, c.shape[1], 1)
     return c
 
 

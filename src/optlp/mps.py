@@ -3,8 +3,8 @@
 Accepts the classical sections NAME / ROWS / COLUMNS / RHS / BOUNDS / ENDATA
 in either fixed or whitespace-delimited layout. Deliberately strict about
 everything else: RANGES, integrality markers, any bound but the redundant
-LO 0, and a second RHS entry for a row are rejected while the file is read,
-each with its line, rather than silently mangled.
+LO 0 and PL, and a second RHS entry for a row are rejected while the file
+is read, each with its line, rather than silently mangled.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ def parse_mps(text) -> MpsProblem:
                 raise MpsParseError(f"unknown bound kind {tokens[0]!r}", line=lineno)
             if col not in seen_cols:
                 raise MpsParseError(f"bound for undeclared column {col!r}", line=lineno)
-            if not (kind == "LO" and value == 0.0):
+            # LO 0 and PL (no upper bound) restate the default 0 <= x < inf
+            if not (kind == "PL" or kind == "LO" and value == 0.0):
                 shown = f"{kind} {col}" + (f" {value}" if value is not None else "")
                 raise UnsupportedMpsFeatureError(
                     f"bound '{shown}' is not supported; only the default x >= 0 is",

@@ -23,6 +23,7 @@ from .model import (
     SolverConfig,
     StandardLp,
     gap_and_distance,
+    norm,
     residuals,
     stopping_criterion,
 )
@@ -51,7 +52,7 @@ STATUS_BREAKDOWN = "numerical_breakdown"
 STATUS_NO_START = "no_interior_start"
 
 
-@dataclass(frozen=True)
+@dataclass
 class IterationRecord:
     """State after one accepted iteration (k is 1-based)."""
 
@@ -97,12 +98,8 @@ def _start_rejected(lp: StandardLp, start: Iterate, theta: float) -> str | None:
     return None
 
 
-def safeguarded_step(
-    it: Iterate,
-    direction: tuple[np.ndarray, np.ndarray],
-    pair: CandidatePair,
-    cfg: SolverConfig,
-) -> tuple[Iterate, float]:
+def safeguarded_step(it: Iterate, direction: tuple[np.ndarray, np.ndarray],
+                     pair: CandidatePair, cfg: SolverConfig) -> tuple[Iterate, float]:
     """Apply the selected step ``direction`` = (dxs, dy) from
     :func:`~optlp.direction.assemble_direction`, halving alpha while the new
     point violates positivity or neighborhood membership (exact arithmetic
@@ -110,21 +107,23 @@ def safeguarded_step(
     step rule). A non-finite x or s, or a gap x.s that overflows, never
     passes; a non-finite y raises.
 
-    Returns the accepted iterate and the alpha actually applied.
+    Returns the accepted iterate and the alpha actually applied. A full
+    step, alpha = 1, subtracts the direction as it is: 1.0 v == v bit for
+    bit, so skipping the product changes nothing.
     """
     dxs, dy = direction
     alpha = pair.alpha
     for _ in range(SAFEGUARD_BACKTRACKS + 1):
-        xs = it.xs - alpha * dxs
+        xs = it.xs - dxs if alpha == 1.0 else it.xs - alpha * dxs
         if (xs == it.xs).all():
             raise NoFeasibleStepError("step update fell below machine precision")
         if xs.min() > 0.0:
-            mu, dist = gap_and_distance(xs)
+            mu, dist, xos = gap_and_distance(xs)
             if _in_neighborhood(mu, dist, cfg.theta):
-                y = it.y - alpha * dy
-                if not np.isfinite(y).all():
+                y = it.y - dy if alpha == 1.0 else it.y - alpha * dy
+                if not norm(y) < math.inf:
                     raise NoFeasibleStepError("dual update is not finite")
-                return Iterate.unchecked(xs, y, mu, dist), alpha
+                return Iterate.unchecked(xs, y, mu, dist, xos), alpha
         alpha *= 0.5
     raise NoFeasibleStepError(
         f"no acceptable step within {SAFEGUARD_BACKTRACKS} halvings of alpha"
@@ -153,7 +152,7 @@ def _exact_step(it: Iterate, direction: tuple[np.ndarray, np.ndarray]) -> Iterat
     """
     dxs, dy = direction
     xs, y = it.xs - dxs, it.y - dy
-    if not (np.isfinite(xs).all() and np.isfinite(y).all()):
+    if not (norm(xs) < math.inf and norm(y) < math.inf):
         return None
     n = it.x.shape[0]
     x, s = xs[:n], xs[n:]
@@ -172,9 +171,10 @@ def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
     None for it. Every pair goes through :func:`safeguarded_step`; an
     ``a0_zero`` pair tries the exact Newton step first.
     """
+    name = lp.name or "LP"
     reason = _start_rejected(lp, start, cfg.theta)
     if reason is not None:
-        log.info("%s: %s", lp.name or "LP", reason)
+        log.info("%s: %s", name, reason)
         return SolveReport(STATUS_NO_START, [], start, lp.objective(start.x))
 
     it = start
@@ -196,27 +196,21 @@ def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
             else:
                 it, alpha = safeguarded_step(it, direction, pair, cfg)
         except (IllConditionedError, NoFeasibleStepError) as exc:
-            log.warning("%s: breakdown at iteration %d: %s", lp.name or "LP", k, exc)
+            log.warning("%s: breakdown at iteration %d: %s", name, k, exc)
             status = STATUS_BREAKDOWN
             break
         records.append(IterationRecord(k, it.mu, pair.sigma, alpha, it.neighborhood_dist,
                                        *residuals(lp, it), pair.origin))
-        log.debug(
-            "%s: k=%d mu=%.6e sigma=%.4f alpha=%.4f origin=%s",
-            lp.name or "LP", k, it.mu, pair.sigma, alpha, pair.origin,
-        )
+        log.debug("%s: k=%d mu=%.6e sigma=%.4f alpha=%.4f origin=%s",
+                  name, k, it.mu, pair.sigma, alpha, pair.origin)
         if exact is not None or stopping_criterion(lp, it, cfg.tol):
             status = STATUS_OPTIMAL
             break
     return SolveReport(status, records, it, lp.objective(it.x))
 
 
-def solve(
-    lp: StandardLp,
-    start: Iterate,
-    cfg: SolverConfig | None = None,
-    observer=None,
-) -> SolveReport:
+def solve(lp: StandardLp, start: Iterate, cfg: SolverConfig | None = None,
+          observer=None) -> SolveReport:
     """Run the path-following iteration with jointly optimal (sigma, alpha).
 
     ``start`` must be strictly positive, feasible to ~1e-8 and inside the
@@ -245,11 +239,8 @@ def solve(
     return _iterate(lp, start, cfg, choose, observer)
 
 
-def solve_shortstep_baseline(
-    lp: StandardLp,
-    start: Iterate,
-    cfg: SolverConfig | None = None,
-) -> SolveReport:
+def solve_shortstep_baseline(lp: StandardLp, start: Iterate,
+                             cfg: SolverConfig | None = None) -> SolveReport:
     """Classical short-step path following: sigma = 1 - 0.4/sqrt(n), alpha = 1.
 
     The same iteration as :func:`solve` with a fixed step rule. The

@@ -33,7 +33,7 @@ from .errors import DegenerateInputError
 A0_ZERO_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass
 class CandidatePair:
     """One admissible (sigma, alpha) choice and the gap it predicts."""
 

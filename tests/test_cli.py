@@ -201,7 +201,8 @@ def test_lp_with_no_constraint_row_is_a_clean_error(stem, tmp_path, capsys):
         capsys.readouterr().err
     )
     assert main(["bench", str(tmp_path)]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[1] == f"{stem},failed,failed,"
+    # no solve ran, so both seconds fields are empty
+    assert capsys.readouterr().out.splitlines()[1] == f"{stem},failed,failed,,,"
 
 
 def test_dropped_row_notice_is_a_warning_line(tmp_path, capsys):
@@ -282,7 +283,7 @@ def test_overflowing_row_sums_leave_no_start(tmp_path, capsys):
         assert main(["solve", str(path)]) == EXIT_NO_START
         assert "no interior starting point" in capsys.readouterr().err
         assert main(["bench", str(tmp_path)]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[1] == "overflow,start-failed,start-failed,"
+    assert capsys.readouterr().out.splitlines()[1] == "overflow,start-failed,start-failed,,,"
 
 
 def _write_centred_lp(tmp_path, scale):
@@ -431,7 +432,8 @@ def test_bench_empty_dir(tmp_path, capsys):
     code = main(["bench", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == EXIT_OK
-    assert captured.out.splitlines() == ["problem,iters_optimal,iters_baseline,paper_iters"]
+    assert captured.out.splitlines() == [
+        "problem,iters_optimal,iters_baseline,paper_iters,secs_optimal,secs_baseline"]
     assert "0 of 11" in captured.err
 
 
@@ -443,12 +445,13 @@ def test_bench_synthetic_instance_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_OK
     lines = captured.out.splitlines()
-    assert lines[0] == "problem,iters_optimal,iters_baseline,paper_iters"
+    assert lines[0] == "problem,iters_optimal,iters_baseline,paper_iters,secs_optimal,secs_baseline"
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert fields[0] == "synth"
     assert int(fields[1]) >= 1
     assert fields[3] == ""  # paper_iters absent for non-reference problems
+    assert float(fields[4]) > 0.0 and float(fields[5]) > 0.0
 
 
 def test_solve_default_max_iter_covers_shortstep_on_afiro(capsys):
@@ -477,9 +480,11 @@ def test_bench_default_max_iter_covers_shortstep_on_afiro(capsys):
     captured = capsys.readouterr()
     assert code == EXIT_OK
     rows = {line.split(",")[0]: line.split(",") for line in captured.out.splitlines()[1:]}
-    _, opt_iters, base_iters, paper_iters = rows["afiro"]
+    _, opt_iters, base_iters, paper_iters, opt_secs, base_secs = rows["afiro"]
     assert int(opt_iters) >= 1 and int(base_iters) >= 1
     assert paper_iters == "4"
+    # the short step's 290 iterations take longer than the optimal rule's 11
+    assert 0.0 < float(opt_secs) < float(base_secs)
 
 
 def test_bench_continues_past_unreadable_file(tmp_path, capsys):

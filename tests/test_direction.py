@@ -226,7 +226,7 @@ def test_decompose_triangular_failures_are_package_errors(both_routes):
         with pytest.raises(IllConditionedError) as info:
             decompose((singular, tau, d), start)
         assert info.value.index == 2
-        overflowed = Iterate.unchecked(start.xs, start.y, math.inf, math.inf)
+        overflowed = Iterate.unchecked(start.xs, start.y, math.inf, math.inf, start.xos)
         with pytest.raises(IllConditionedError):
             decompose((qr, tau, d), overflowed)
 

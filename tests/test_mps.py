@@ -271,6 +271,22 @@ def test_standard_form_rejects_nondefault_bounds():
     assert lp.n == 2
 
 
+def test_redundant_bounds_read_as_no_bounds():
+    # PL and LO 0 restate x >= 0 with no upper bound; every other kind is
+    # rejected with its line
+    def standard(text):
+        lp, colmap = to_standard_form(parse_mps(text))
+        return lp.a.tolist(), lp.b.tolist(), lp.c.tolist(), colmap
+
+    for line in (" PL BND  X1\n", " LO BND  X2  0.0\n"):
+        assert standard(_with_bound(line)) == standard(MINIMAL)
+    for line, shown in ((" UP BND  X1  5.0\n", "UP X1 5.0"), (" MI BND  X1\n", "MI X1"),
+                        (" FR BND  X2\n", "FR X2")):
+        with pytest.raises(UnsupportedMpsFeatureError, match=f"^line 12: bound '{shown}'") as exc:
+            parse_mps(_with_bound(line))
+        assert exc.value.line == 12
+
+
 def _random_fixture(rng):
     """Random mixed-row problem built around a known feasible point."""
     n = int(rng.integers(3, 6))

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from optlp.cli import read_start_file
 from optlp.direction import assemble_direction, build_factors, decompose
 from optlp.errors import InvalidInputError, NoFeasibleStepError
-from optlp.model import Iterate, SolverConfig, StandardLp, residuals
+from optlp.model import Iterate, SolverConfig, StandardLp, gap_and_distance, residuals
 from optlp.mps import parse_mps, to_standard_form
 from optlp.solver import (
     SHORTSTEP_THETA,
@@ -222,8 +222,7 @@ def test_one_iteration_exact_case():
     assert report.objective == pytest.approx(4.0)
 
 
-@pytest.mark.parametrize("n, m, seed", [(64, 24, 3), (512, 200, 2), (1024, 400, 1)])
-def test_exact_landing_takes_one_iteration(n, m, seed):
+def exact_landing_problem(n, m, seed):
     # s0 = A^T e_0 > 0 lies in range(A^T), so a0 = 0, and x0 = mean(s0)/s0
     # is centered: the pure Newton step lands on s = 0, where every landed
     # s_i is roundoff of either sign
@@ -232,11 +231,16 @@ def test_exact_landing_takes_one_iteration(n, m, seed):
     a[0] = np.abs(a[0])
     s0, y0 = a[0].copy(), rng.normal(size=m)
     x0 = np.mean(s0) / s0
-    lp = StandardLp(a, a @ x0, a.T @ y0 + s0)
-    report = solve(lp, Iterate(x0, y0, s0))
+    return StandardLp(a, a @ x0, a.T @ y0 + s0), Iterate(x0, y0, s0)
+
+
+@pytest.mark.parametrize("n, m, seed", [(64, 24, 3), (512, 200, 2), (1024, 400, 1)])
+def test_exact_landing_takes_one_iteration(n, m, seed):
+    lp, start = exact_landing_problem(n, m, seed)
+    report = solve(lp, start)
     assert report.status == STATUS_OPTIMAL
     assert [rec.origin for rec in report.iterations] == ["a0_zero"]
-    assert report.final.mu <= 1e-12 * np.mean(s0)
+    assert report.final.mu <= 1e-12 * np.mean(start.s)
 
 
 @pytest.mark.parametrize("index", [9, 17, 27, 39, 54, 57])
@@ -270,6 +274,44 @@ def test_exact_step_far_from_the_optimum_is_safeguarded(monkeypatch):
     first = report.iterations[0]
     assert first.origin == "a0_zero" and first.alpha < 1.0
     assert first.mu == pytest.approx(start.mu * (1.0 - first.alpha), rel=1e-10)
+
+
+def test_every_accepted_iterate_carries_its_own_product(monkeypatch):
+    # x o s is carried from the step's gap_and_distance into the next
+    # factorization: after every accepted step, on both QR routes, of both
+    # algorithms, and of an a0_zero pair taken exactly and safeguarded, it
+    # is x * s to the bit, and mu and the distance are those of xs
+    import optlp.solver as solver_mod
+    from optlp.stepsel import select_step
+
+    accepted = []
+
+    def recorded(step):
+        def wrapper(*args):
+            result = step(*args)
+            if result is not None:
+                accepted.append(result[0] if isinstance(result, tuple) else result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(solver_mod, "safeguarded_step", recorded(safeguarded_step))
+    monkeypatch.setattr(solver_mod, "_exact_step", recorded(solver_mod._exact_step))
+    lp, _ = to_standard_form(parse_mps((NETLIB / "afiro.mps").read_bytes()))
+    afiro = (lp, read_start_file(NETLIB / "afiro.start", lp.n, lp.m))
+    blocked = generate_synthetic(160, 64, 1)  # 64 rows: dgeqrt
+    for problem in (afiro, blocked):
+        for runner in (solve, solve_shortstep_baseline):
+            assert runner(*problem).status == STATUS_OPTIMAL
+    assert solve(*exact_landing_problem(64, 24, 3)).iterations[0].origin == "a0_zero"
+    # an a0_zero pair far from the optimum, whose exact step is refused
+    pairs = iter([CandidatePair(sigma=0.0, alpha=1.0, predicted_mu=0.0, origin="a0_zero")])
+    monkeypatch.setattr(solver_mod, "select_step", lambda *args: next(pairs, None) or select_step(*args))
+    report = solve(*blocked)
+    assert report.iterations[0].origin == "a0_zero" and report.iterations[0].alpha < 1.0
+    assert len(accepted) > 600
+    for it in accepted:
+        assert it.xos.tobytes() == (it.x * it.s).tobytes()
+        assert (it.mu, it.neighborhood_dist) == gap_and_distance(it.xs)[:2]
 
 
 def test_safeguarded_step_full_alpha_on_clean_pair():

@@ -438,6 +438,51 @@ def test_predicted_gap_is_rounded_not_cancelled():
             assert abs(Fraction(pair.predicted_mu) - exact) <= Fraction(1e-15) * exact, pair
 
 
+def test_live_selections_match_extended_precision_oracle():
+    """Every selection of live solves down to tol 1e-14, on AFIRO from its
+    sidecar and on a synthetic LP from its exactly centred start (where g
+    has a quadruple root at 1), predicts the least gap over the admissible
+    set, against the 50-digit oracle."""
+    afiro = Path(__file__).parent / "data" / "netlib" / "afiro.mps"
+    lp, _ = to_standard_form(parse_mps(afiro.read_bytes()))
+    problems = [(lp, read_start_file(afiro.with_suffix(".start"), lp.n, lp.m)),
+                generate_synthetic(64, 24, seed=3)]
+    live = []
+    for lp, start in problems:
+        for theta in (0.4, 0.99):
+            report = solve(lp, start, SolverConfig(theta=theta, tol=1e-14),
+                           observer=lambda k, it, dec, h, pair: live.append((h, theta, it.mu, pair)))
+            assert report.status == STATUS_OPTIMAL
+    assert len(live) > 50
+    for h, theta, mu, pair in live:
+        phi, _ = mp_best_step(h, theta, mu)
+        assert pair.predicted_mu / mu == pytest.approx(float(phi), rel=1e-12), pair
+
+
+def test_oracle_seeks_roots_again_where_50_digits_do_not_converge(monkeypatch):
+    """Where the 50-digit root search raises NoConvergence, as it does on
+    the quadruple root at 1 of g at an exactly centred start (a second
+    long), mp_best_step seeks the roots again at 100 digits, with 5,000
+    steps and 2,000 guard bits, and finds the same optimum."""
+    import helpers
+
+    h = (1.0, 0.0, 2.0, 0.0, 1.0)
+    expected = mp_best_step(h, 0.9, 1.0)
+    searches = []
+
+    def unconverged_at_50_digits(coeffs, dps=50, **options):
+        searches.append((dps, options.get("maxsteps"), options.get("extraprec")))
+        if dps == 50:
+            raise mpmath.libmp.NoConvergence("no convergence at 50 digits")
+        return mp_polyroots(coeffs, dps, **options)
+
+    monkeypatch.setattr(helpers, "mp_polyroots", unconverged_at_50_digits)
+    # the roots found again carry 100 digits: (phi, sigma) agree to about 50
+    with mpmath.workdps(50):
+        assert all(abs(got - want) <= 1e-45 for got, want in zip(mp_best_step(h, 0.9, 1.0), expected))
+    assert searches == [(50, None, None), (100, 5000, 2000)] * 2
+
+
 def test_live_solve_takes_a_g_root_step():
     """A live solve whose first step is a g root, which predicts the least
     gap over the admissible set against the 50-digit oracle, and which the
