@@ -203,7 +203,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     start_path = out.with_suffix(".start")
     try:
-        out.write_text(mps.format_mps(mps.from_standard_lp(lp)))
+        out.write_text(mps.format_mps(lp))
         write_start_file(start_path, start)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

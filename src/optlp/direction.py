@@ -78,15 +78,13 @@ def build_factors(lp: StandardLp, it: Iterate) -> tuple[np.ndarray, np.ndarray, 
     # 1998): only a ratio that overflowed to inf or underflowed to 0 fails
     if not (0.0 < ratio.min() and norm(ratio) < math.inf):
         i = int(np.argmin((ratio > 0.0) & (ratio < np.inf)))
-        raise IllConditionedError(
-            f"x[{i}]/s[{i}] = {ratio[i]:.3e} is not a finite positive number", index=i
-        )
+        raise IllConditionedError(f"x[{i}]/s[{i}] = {ratio[i]:.3e} is not a finite positive number")
     d = np.sqrt(ratio)
     # D A^T comes out in Fortran order, which either routine factors in place
     dat = (lp.a * d).T
     qr, t = householder_qr(dat)
     if not norm(qr.diagonal()) < math.inf:
-        raise IllConditionedError("scaled QR factor R1 is not finite", index=-1)
+        raise IllConditionedError("scaled QR factor R1 is not finite")
     return qr, t, d
 
 
@@ -116,10 +114,10 @@ def decompose(factors, it: Iterate) -> tuple[np.ndarray, np.ndarray]:
     # R1 y = c1, with R1 read in place: its diagonal was checked finite
     c1 = c[:m].copy()  # contiguous, so that norm reads it in one ddot
     if not norm(c1) < math.inf:
-        raise IllConditionedError("projected right-hand side is not finite", index=-1)
+        raise IllConditionedError("projected right-hand side is not finite")
     y, info = lapack.dtrtrs(qr, c1)
     if info > 0:
-        raise IllConditionedError(f"R1 is singular at diagonal {info - 1}", index=info - 1)
+        raise IllConditionedError(f"R1 is singular at diagonal {info - 1}")
     return pq, y
 
 

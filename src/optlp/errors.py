@@ -12,15 +12,10 @@ class InvalidInputError(OptLpError, ValueError):
 class IllConditionedError(OptLpError):
     """The direction at an iterate cannot be computed in floating point: a
     ratio x_i/s_i overflowed to inf or underflowed to 0, R1's diagonal or
-    the projected right-hand side c1 is not finite, or R1 is singular.
-
-    ``index`` is the offending component (of the iterate, or of R1's
-    diagonal), or -1 when no single one is to blame.
+    the projected right-hand side c1 is not finite, or R1 is singular. The
+    message names the component at fault where one is, such as x[3]/s[3] or
+    R1's diagonal 2.
     """
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
 
 
 class NoFeasibleStepError(OptLpError):

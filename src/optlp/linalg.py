@@ -43,7 +43,9 @@ dgeqrt at nb = 64 takes 0.87x at m = 64 and 0.64x at 128, so the crossover
 stays at 64 rows; at 51 x 27 (AFIRO's shape) the QR alone took 21 us by
 dgeqrf against 57 us by dgeqrt (medians, 2-core Xeon, one BLAS thread).
 
-:func:`rank_reveal` finds the rank in two steps on one working copy of A^T
+:func:`rank_reveal` judges the rank of A with each row scaled to largest
+magnitude 1 (:func:`row_scales`), so that a row's size cannot make it look
+dependent, and finds it in two steps on one working copy, the scaled A^T
 (n x m for an m x n A): that QR, A^T = Q R, then a column-pivoted QR
 (dgeqp3) of the small R alone, which is min(n, m) x m. Column pivoting
 picks each pivot by the norms of the remaining columns after the earlier
@@ -109,6 +111,14 @@ except ImportError:
     from scipy.linalg import lapack
 
 
+def row_scales(a: np.ndarray) -> np.ndarray:
+    """The largest magnitude of each row of ``a``, with 1 for a zero row.
+    Taken from the row maxima and minima, as a row's 2-norm may overflow."""
+    big = np.maximum(a.max(axis=1), -a.min(axis=1))
+    big[big == 0.0] = 1.0
+    return big
+
+
 def as_matrix(mat) -> np.ndarray:
     """Coerce to a finite, C-contiguous 2-d float array."""
     a = np.ascontiguousarray(mat, dtype=float)
@@ -137,7 +147,7 @@ def householder_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # unblocked at this size whatever lwork allows (module docstring)
         qr, t, _, info = lapack.dgeqrf(mat, cols, 1)
     if info != 0:
-        raise IllConditionedError(f"Householder QR failed (LAPACK info {info})", index=-1)
+        raise IllConditionedError(f"Householder QR failed (LAPACK info {info})")
     return qr, t
 
 
@@ -152,27 +162,30 @@ def apply_q(qr: np.ndarray, t: np.ndarray, c: np.ndarray, trans: str) -> np.ndar
     return c
 
 
-def rank_reveal(a) -> tuple[int, list[int]]:
-    """Numerical row rank of ``a`` plus indices of independent rows.
+def rank_reveal(a: np.ndarray) -> tuple[int, list[int]]:
+    """Numerical row rank of the finite, C-order float64 matrix ``a`` (as
+    :func:`as_matrix` gives) plus indices of independent rows.
 
-    Factors a copy of ``a.T`` by :func:`householder_qr`, then runs a
-    column-pivoted QR of its upper-triangular R (module docstring), and
-    counts pivoted diagonal entries with |R_ii| > DEFAULT_RANK_TOL * |R_11|.
-    The returned row indices (sorted) select a maximal independent subset of
-    the rows of ``a``. Where rows tie exactly, such as a duplicated row,
-    which of them is kept follows rounding in R.
+    Scales each row of ``a`` to largest magnitude 1 (:func:`row_scales`),
+    factors the transpose of that scaled copy by :func:`householder_qr`,
+    then runs a column-pivoted QR of its upper-triangular R (module
+    docstring), and counts pivoted diagonal entries with |R_ii| >
+    DEFAULT_RANK_TOL * |R_11|. The returned row indices (sorted) select a
+    maximal independent subset of the rows of ``a``. Where scaled rows tie
+    exactly, such as a row and a multiple of it, which of them is kept
+    follows rounding in R.
     """
-    a = as_matrix(a)
     if min(a.shape) == 0:
         return 0, []
-    qr, _ = householder_qr(a.T.copy(order="F"))
+    # the scaled copy, transposed to Fortran order, is the one working copy
+    qr, _ = householder_qr((a / row_scales(a)[:, None]).T)
     r = qr[:min(a.shape)].copy(order="F")
     del qr
     r[np.tri(*r.shape, k=-1, dtype=bool)] = 0.0  # the reflectors
     _, _, _, work, _ = lapack.dgeqp3(r, lwork=-1, overwrite_a=1)
     r, pivots, _, _, info = lapack.dgeqp3(r, lwork=int(work[0]), overwrite_a=1)
     if info != 0:
-        raise IllConditionedError(f"pivoted QR failed (LAPACK info {info})", index=-1)
+        raise IllConditionedError(f"pivoted QR failed (LAPACK info {info})")
     diag = np.abs(np.diagonal(r))
     if diag[0] == 0.0:
         return 0, []

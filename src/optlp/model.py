@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import DEFAULT_RANK_TOL, as_matrix, rank_reveal
+from .linalg import DEFAULT_RANK_TOL, as_matrix, rank_reveal, row_scales
 
 
 def norm(v: np.ndarray) -> float:
@@ -70,13 +70,17 @@ class StandardLp:
         minimize c.x  subject to  A x = b, x >= 0
 
     Construction coerces A to full row rank: numerically dependent rows are
-    dropped (with a warning) together with their right-hand sides. A dropped
-    row must be consistent: its b has to match the combination of kept rows
-    that reproduces its coefficients, to DEFAULT_RANK_TOL relative to the
-    sum of the magnitudes of that combination's terms; otherwise A x = b has
-    no solution and the row is rejected by index. Requires 1 <= m < n after
-    the reduction: an LP with no independent row left, such as one whose
-    only constraint has no coefficients, is rejected.
+    dropped (with a warning) together with their right-hand sides. Rank and
+    consistency are judged on each row of A and its b divided by the row's
+    largest magnitude (:func:`~optlp.linalg.row_scales`), so that a row's
+    size alone cannot make it look dependent; A and b are kept as given. A
+    dropped row must be consistent: its scaled b has to match the
+    combination of scaled kept rows that reproduces its coefficients, to
+    DEFAULT_RANK_TOL relative to the sum of the magnitudes of that
+    combination's terms; otherwise A x = b has no solution and the row is
+    rejected by index. Requires 1 <= m < n after the reduction: an LP with
+    no independent row left, such as one whose only constraint has no
+    coefficients, is rejected.
     """
 
     def __init__(self, a, b, c, name: str = ""):
@@ -97,18 +101,22 @@ class StandardLp:
                 stacklevel=2,
             )
             dropped = np.setdiff1d(np.arange(m), kept)
-            # w holds, per dropped row, the coefficients of the kept rows
-            # that reproduce it; full-rank LPs never get here
-            w = np.linalg.lstsq(a[kept].T, a[dropped].T, rcond=None)[0]
-            combo = w.T @ b[kept]
-            bad = np.flatnonzero(np.abs(b[dropped] - combo)
-                                 > DEFAULT_RANK_TOL * (np.abs(w.T) @ np.abs(b[kept])))
+            # on rows scaled as the reveal scaled them, w holds, per dropped
+            # row, the coefficients of the kept rows that reproduce it;
+            # full-rank LPs never get here
+            big = row_scales(a)
+            sa, sb = a / big[:, None], b / big
+            w = np.linalg.lstsq(sa[kept].T, sa[dropped].T, rcond=None)[0]
+            combo = w.T @ sb[kept]
+            bad = np.flatnonzero(np.abs(sb[dropped] - combo)
+                                 > DEFAULT_RANK_TOL * (np.abs(w.T) @ np.abs(sb[kept])))
             if bad.size:
                 j = int(bad[0])
+                i = dropped[j]
                 raise InvalidInputError(
-                    f"constraint row {dropped[j]} of {name or 'LP'} is a combination of "
-                    f"the others, but its right-hand side {b[dropped[j]]:.17g} differs "
-                    f"from theirs, {combo[j]:.17g}: the constraints are inconsistent"
+                    f"constraint row {i} of {name or 'LP'} is a combination of "
+                    f"the others, but its right-hand side {b[i]:.17g} differs "
+                    f"from theirs, {combo[j] * big[i]:.17g}: the constraints are inconsistent"
                 )
             a = np.ascontiguousarray(a[kept])
             b = b[kept]

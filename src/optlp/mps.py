@@ -17,7 +17,6 @@ from .errors import MpsParseError, UnsupportedMpsFeatureError
 from .model import StandardLp
 
 _ROW_KINDS = {"N": "objective", "E": "eq", "L": "le", "G": "ge"}
-_KIND_LETTERS = {v: k for k, v in _ROW_KINDS.items()}
 
 # bound kinds that carry no numeric field
 _VALUELESS_BOUNDS = {"FR", "MI", "PL", "BV"}
@@ -221,42 +220,26 @@ def to_standard_form(prob: MpsProblem) -> tuple[StandardLp, dict[str, int]]:
     return lp, colmap
 
 
-def format_mps(prob: MpsProblem) -> str:
-    """Serialize in the normalized layout this parser reads back verbatim.
+def format_mps(lp: StandardLp) -> str:
+    """Serialize an all-equality LP in a layout :func:`parse_mps` reads back
+    exactly (used by `generate`).
 
-    Values are written with ``repr`` so parse(format(p)) == p exactly. No
-    BOUNDS section is written: a parsed problem holds only the default
-    x >= 0.
+    Columns X0001.. and rows R0001.. (wider where n needs it) under the
+    objective row COST; zero entries are left out. Values are written with
+    ``repr``, so :func:`to_standard_form` of the parsed text gives A, b and
+    c bit for bit. No BOUNDS section is written: x >= 0 is the default.
     """
-    lines = [f"NAME          {prob.name}".rstrip()]
-    lines.append("ROWS")
-    for kind, row in prob.row_kinds:
-        lines.append(f" {_KIND_LETTERS[kind]}  {row}")
+    width = max(4, len(str(lp.n)))
+    rows = [f"R{i + 1:0{width}d}" for i in range(lp.m)]
+    lines = [f"NAME          {lp.name or 'GENERATED'}", "ROWS", " N  COST"]
+    lines += [f" E  {row}" for row in rows]
     lines.append("COLUMNS")
-    for col, row, value in prob.columns:
-        lines.append(f"    {col}  {row}  {value!r}")
+    for j, (cost, column) in enumerate(zip(lp.c.tolist(), lp.a.T.tolist())):
+        col = f"X{j + 1:0{width}d}"
+        if cost != 0.0:
+            lines.append(f"    {col}  COST  {cost!r}")
+        lines += [f"    {col}  {row}  {v!r}" for row, v in zip(rows, column) if v != 0.0]
     lines.append("RHS")
-    for row, value in prob.rhs:
-        lines.append(f"    RHS  {row}  {value!r}")
+    lines += [f"    RHS  {row}  {v!r}" for row, v in zip(rows, lp.b.tolist()) if v != 0.0]
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
-
-
-def from_standard_lp(lp: StandardLp) -> MpsProblem:
-    """Express an all-equality LP as an MpsProblem (used by `generate`)."""
-    prob = MpsProblem(name=lp.name or "GENERATED")
-    width = max(4, len(str(lp.n)))
-    cols = [f"X{j + 1:0{width}d}" for j in range(lp.n)]
-    rows = [f"R{i + 1:0{width}d}" for i in range(lp.m)]
-    prob.row_kinds.append(("objective", "COST"))
-    prob.row_kinds.extend(("eq", r) for r in rows)
-    for j, col in enumerate(cols):
-        if lp.c[j] != 0.0:
-            prob.columns.append((col, "COST", float(lp.c[j])))
-        for i, row in enumerate(rows):
-            if lp.a[i, j] != 0.0:
-                prob.columns.append((col, row, float(lp.a[i, j])))
-    for i, row in enumerate(rows):
-        if lp.b[i] != 0.0:
-            prob.rhs.append((row, float(lp.b[i])))
-    return prob

@@ -167,9 +167,9 @@ def _exact_step(it: Iterate, direction: tuple[np.ndarray, np.ndarray]) -> Iterat
 def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
              observer=None) -> SolveReport:
     """The loop of both algorithms. ``choose(dec, it)`` is the step rule: it
-    returns the pair to take from ``it`` and the step quartic h it used, or
-    None for it. Every pair goes through :func:`safeguarded_step`; an
-    ``a0_zero`` pair tries the exact Newton step first.
+    returns the pair to take from ``it``. Every pair goes through
+    :func:`safeguarded_step`; an ``a0_zero`` pair tries the exact Newton
+    step first.
     """
     name = lp.name or "LP"
     reason = _start_rejected(lp, start, cfg.theta)
@@ -186,9 +186,9 @@ def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
     for k in range(1, cfg.max_iter + 1):
         try:
             dec = decompose(build_factors(lp, it), it)
-            pair, h = choose(dec, it)
+            pair = choose(dec, it)
             if observer is not None:
-                observer(k, it, dec, h, pair)
+                observer(k, it, dec, pair)
             direction = assemble_direction(dec, pair.sigma)
             exact = _exact_step(it, direction) if pair.origin == "a0_zero" else None
             if exact is not None:
@@ -216,10 +216,10 @@ def solve(lp: StandardLp, start: Iterate, cfg: SolverConfig | None = None,
     ``start`` must be strictly positive, feasible to ~1e-8 and inside the
     theta-neighborhood; otherwise the report comes back with status
     ``no_interior_start``. ``observer``, when given, is called once per
-    iteration with (k, iterate, dec, h, pair) before the step is applied,
-    where dec is the (pq, y) pair of :func:`~optlp.direction.decompose` and
-    h the coefficient tuple of :func:`~optlp.direction.step_polynomials`;
-    tests use it to harvest live data.
+    iteration with (k, iterate, dec, pair) before the step is applied,
+    where dec is the (pq, y) pair of :func:`~optlp.direction.decompose`,
+    from which :func:`~optlp.direction.step_polynomials` gives the step
+    quartic h; tests use it to harvest live data.
     """
     cfg = cfg if cfg is not None else SolverConfig()
 
@@ -227,14 +227,12 @@ def solve(lp: StandardLp, start: Iterate, cfg: SolverConfig | None = None,
         # h grows as mu^2 and would overflow from mu ~ 1e154, so it is formed
         # from pq scaled by 2^-k, mu ~ 4^k: h comes out scaled by 2^-4k with
         # every product exact, and select_step gets mu 4^-k to match. The
-        # gap and h are scaled back by 2^k at a time, as 2^4k may overflow
+        # gap is scaled back by 2^k at a time, as 4^k may overflow
         k = math.frexp(it.mu)[1] // 2
         up = math.ldexp(1.0, k)
         pq, y = dec
-        h = step_polynomials((pq / up, y))
-        pair = select_step(h, cfg.theta, it.mu / up / up, lp.n)
-        return (replace(pair, predicted_mu=pair.predicted_mu * up * up),
-                tuple(c * up * up * up * up for c in h))
+        pair = select_step(step_polynomials((pq / up, y)), cfg.theta, it.mu / up / up, lp.n)
+        return replace(pair, predicted_mu=pair.predicted_mu * up * up)
 
     return _iterate(lp, start, cfg, choose, observer)
 
@@ -252,7 +250,7 @@ def solve_shortstep_baseline(lp: StandardLp, start: Iterate,
     cfg = cfg if cfg is not None else SolverConfig(theta=SHORTSTEP_THETA)
     sigma = 1.0 - 0.4 / math.sqrt(lp.n)
     return _iterate(lp, start, cfg,
-                    lambda dec, it: (CandidatePair(sigma, 1.0, sigma * it.mu, "shortstep"), None))
+                    lambda dec, it: CandidatePair(sigma, 1.0, sigma * it.mu, "shortstep"))
 
 
 def generate_synthetic(n: int, m: int, seed: int) -> tuple[StandardLp, Iterate]:

@@ -126,19 +126,28 @@ def float64_sign(coeffs, x):
     return 0 if abs(y) <= bound else (1 if y > 0 else -1)
 
 
-def mp_polyroots(coeffs, dps=50, maxsteps=400, extraprec=400, roots_init=None):
+def mp_polyroots(coeffs, dps=50, maxsteps=400, extraprec=400):
     """All complex roots of the polynomial with the exact binary coefficients
     ``coeffs`` (highest degree first), at ``dps`` digits. A real root comes
     back as an ``mpf``. The Durand-Kerner iteration of ``mpmath.polyroots``
-    starts from ``roots_init`` where given; mpmath raises NoConvergence
-    where it does not converge within ``maxsteps`` steps."""
+    starts from numpy's float64 roots where those are finite, which takes a
+    quarter of the time of mpmath's default start, and from that default
+    start where it does not converge from them; mpmath raises NoConvergence
+    where it does not converge from either within ``maxsteps`` steps."""
     while coeffs and coeffs[0] == 0.0:
         coeffs = coeffs[1:]
     if len(coeffs) < 2:
         return []
+    start = np.roots([float(c) for c in coeffs])
     with mpmath.workdps(dps):
-        return mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=maxsteps,
-                                extraprec=extraprec, roots_init=roots_init)
+        exact = [mpmath.mpf(c) for c in coeffs]
+        if np.isfinite(start).all():
+            try:
+                return mpmath.polyroots(exact, maxsteps=maxsteps, extraprec=extraprec,
+                                        roots_init=[mpmath.mpc(complex(z)) for z in start])
+            except mpmath.libmp.NoConvergence:
+                pass
+        return mpmath.polyroots(exact, maxsteps=maxsteps, extraprec=extraprec)
 
 
 def random_interior_iterate(lp, start, rng, spread=0.5, theta=0.99):
@@ -218,17 +227,14 @@ def mp_best_step(h, theta, mu, dps=50):
     roots of g, so its minimizer is a root of f(., 1) or of g in (0, 1), or
     sigma = 1. The coefficients are taken as exact binary values.
 
-    The roots are sought from numpy's float64 roots, which takes a quarter
-    of the time of mpmath's default start. Where that does not converge
-    at ``dps`` digits, as on a multiple root such as the quadruple root at
-    1 of g at an exactly centred start, where h = h0 (sigma - 1)^4, they
-    are sought again at 100 digits, with 5,000 steps and 2,000 guard bits.
+    The roots come from :func:`mp_polyroots`. Where it does not converge at
+    ``dps`` digits, as on a multiple root such as the quadruple root at 1
+    of g at an exactly centred start, where h = h0 (sigma - 1)^4, they are
+    sought again at 100 digits, with 5,000 steps and 2,000 guard bits.
     """
     def unit_roots(coeffs):
-        start = np.roots([float(c) for c in coeffs])
-        init = [mpmath.mpc(complex(z)) for z in start] if np.isfinite(start).all() else None
         try:
-            roots = mp_polyroots(coeffs, dps, roots_init=init)
+            roots = mp_polyroots(coeffs, dps)
         except mpmath.libmp.NoConvergence:
             roots = mp_polyroots(coeffs, 100, maxsteps=5000, extraprec=2000)
         return [z.real for z in roots if z.imag == 0 and 0 < z.real < 1]

@@ -121,8 +121,8 @@ def test_criterion_2_qr_matches_dense_solve():
 def test_criterion_3_step_selection_beats_grid():
     harvested = []
 
-    def observer(k, it, dec, h, pair):
-        harvested.append((h, it.mu, pair))
+    def observer(k, it, dec, pair):
+        harvested.append((step_polynomials(dec), it.mu, pair))
 
     rng = np.random.default_rng(303)
     seeds = iter(range(1000, 1100))
@@ -248,8 +248,8 @@ def test_criterion_6_shortstep_dominance():
         cfg = SolverConfig(theta=0.4, max_iter=2000)
         events = []
 
-        def observer(k, it, dec, h, pair):
-            events.append((f_alpha1_poly(h, cfg.theta, it.mu), pair))
+        def observer(k, it, dec, pair):
+            events.append((f_alpha1_poly(step_polynomials(dec), cfg.theta, it.mu), pair))
 
         fast = solve(lp, start, cfg, observer=observer)
         slow = solve_shortstep_baseline(lp, start, cfg)

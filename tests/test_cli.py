@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from optlp.cli import (
+    EXIT_BREAKDOWN,
     EXIT_MAX_ITER,
     EXIT_NO_START,
     EXIT_OK,
@@ -16,7 +17,8 @@ from optlp.cli import (
     report_to_dict,
     write_start_file,
 )
-from optlp.mps import format_mps, from_standard_lp, parse_mps, to_standard_form
+from optlp.errors import DegenerateInputError
+from optlp.mps import format_mps, parse_mps, to_standard_form
 from optlp.solver import STATUS_OPTIMAL, generate_synthetic, solve
 
 from helpers import centred_gaussian_lp, run_python
@@ -186,10 +188,24 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     for content, message in ((b"NAME  BAD\nGARBAGE\nENDATA\n", "line 2"),
                              (NOT_UTF8, "not UTF-8"),
                              (SQUARE_LP.encode(), "fewer independent rows"),
-                             (INCONSISTENT_LP.encode(), "error: constraint row 0 of INCONS")):
+                             (INCONSISTENT_LP.encode(), "of INCONS is a combination of the others")):
         bad.write_bytes(content)
         assert main(["solve", str(bad)]) == EXIT_PARSE
         assert message in capsys.readouterr().err
+
+
+def test_main_reports_a_package_error_as_one_line(generated, monkeypatch, capsys):
+    # an OptLpError that escapes a command exits as a breakdown, with one
+    # error line on stderr and no traceback
+    import optlp.solver
+
+    def degenerate(*args):
+        raise DegenerateInputError("the zero polynomial")
+
+    monkeypatch.setattr(optlp.solver, "solve", degenerate)
+    out, sidecar = generated
+    assert main(["solve", str(out), "--start-file", str(sidecar)]) == EXIT_BREAKDOWN
+    assert capsys.readouterr().err == "error: the zero polynomial\n"
 
 
 @pytest.mark.parametrize("stem", sorted(NO_ROW_LPS))
@@ -289,7 +305,7 @@ def test_overflowing_row_sums_leave_no_start(tmp_path, capsys):
 def _write_centred_lp(tmp_path, scale):
     lp, start = centred_gaussian_lp(0, scale)
     path = tmp_path / "centred.mps"
-    path.write_text(format_mps(from_standard_lp(lp)))
+    path.write_text(format_mps(lp))
     write_start_file(path.with_suffix(".start"), start)
     return path, path.with_suffix(".start")
 
@@ -439,7 +455,7 @@ def test_bench_empty_dir(tmp_path, capsys):
 
 def test_bench_synthetic_instance_row(tmp_path, capsys):
     lp, start = generate_synthetic(10, 4, seed=13)
-    (tmp_path / "synth.mps").write_text(format_mps(from_standard_lp(lp)))
+    (tmp_path / "synth.mps").write_text(format_mps(lp))
     write_start_file(tmp_path / "synth.start", start)
     code = main(["bench", str(tmp_path)])
     captured = capsys.readouterr()
@@ -491,7 +507,7 @@ def test_bench_continues_past_unreadable_file(tmp_path, capsys):
     (tmp_path / "bad.mps").write_text("NAME  BAD\nJUNK\n")
     (tmp_path / "binary.mps").write_bytes(NOT_UTF8)
     lp, start = generate_synthetic(8, 3, seed=4)
-    good = format_mps(from_standard_lp(lp))
+    good = format_mps(lp)
     (tmp_path / "good.mps").write_text(good)
     write_start_file(tmp_path / "good.start", start)
     head, columns = good.split("\nCOLUMNS\n")
@@ -513,7 +529,7 @@ def test_bench_continues_past_unreadable_file(tmp_path, capsys):
 def test_bench_csv_to_file(tmp_path, capsys):
     for seed in (1, 2, 3):
         lp, start = generate_synthetic(8, 3, seed=seed)
-        (tmp_path / f"p{seed}.mps").write_text(format_mps(from_standard_lp(lp)))
+        (tmp_path / f"p{seed}.mps").write_text(format_mps(lp))
         write_start_file(tmp_path / f"p{seed}.start", start)
     out_csv = tmp_path / "bench.csv"
     code = main(["bench", str(tmp_path), "--out", str(out_csv)])

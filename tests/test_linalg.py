@@ -46,6 +46,12 @@ def test_missing_extension_file_falls_back_to_scipy_linalg(tmp_path):
     assert out.split() == ["True", "3"]
 
 
+def test_row_scales_are_largest_magnitudes():
+    # a zero row reads 1; no square is taken, so 1e305 rows do not overflow
+    a = np.array([[0.0, -3.0, 2.0], [0.0, 0.0, 0.0], [1e305, -1.7e305, 5.0]])
+    assert linalg.row_scales(a).tolist() == [3.0, 1.0, 1.7e305]
+
+
 def test_rank_reveal_duplicated_row():
     rank, kept = rank_reveal(np.array([[1.0, 1.0], [2.0, 2.0]]))
     assert rank == 1
@@ -85,8 +91,9 @@ def test_rank_reveal_zero_matrix():
 
 
 def _scipy_rank_reveal(a):
-    # the reference: one column-pivoted QR of the whole A^T, same 1e-12 rule
-    r, pivots = scipy.linalg.qr(a.T, mode="r", pivoting=True)
+    # the reference: one column-pivoted QR of the whole A^T, with its rows
+    # scaled as rank_reveal scales them, same 1e-12 rule
+    r, pivots = scipy.linalg.qr((a / linalg.row_scales(a)[:, None]).T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0]))
     return rank, sorted(int(i) for i in pivots[:rank])

@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from optlp.errors import InvalidInputError
+from optlp.linalg import rank_reveal
 from optlp.model import (
     Iterate,
     SolverConfig,
@@ -13,7 +15,7 @@ from optlp.model import (
     residuals,
     stopping_criterion,
 )
-from optlp.solver import generate_synthetic
+from optlp.solver import STATUS_OPTIMAL, generate_synthetic, solve
 
 from helpers import random_interior_iterate
 
@@ -119,17 +121,68 @@ def test_standard_lp_drops_dependent_rows():
 
 
 def test_standard_lp_checks_dropped_rows_are_consistent():
-    # the kept row is (2, 2, 2); the dropped (1, 1, 1) must carry half its b,
-    # to roundoff relative to the size of b
+    # (1, 1, 1) and (2, 2, 2) tie exactly once scaled to largest magnitude 1,
+    # so rounding picks the one dropped; it must carry its share of the
+    # other's b, to roundoff relative to the size of b
     a = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    _, kept = rank_reveal(a)
+    dropped = 1 - kept[0]
     for b in ((1.0, 2.0), (1e6, 2e6)):
         with pytest.warns(UserWarning, match="dropping 1"):
             lp = StandardLp(a, np.array(b), np.ones(3))
         assert lp.m == 1
+        assert lp.a.tolist() == [a[kept[0]].tolist()] and lp.b.tolist() == [b[kept[0]]]
     for b in ((1.0, 3.0), (1e6, 2e6 + 1.0)):
         with pytest.warns(UserWarning, match="dropping 1"), \
-                pytest.raises(InvalidInputError, match="row 0 .* inconsistent"):
+                pytest.raises(InvalidInputError, match=f"row {dropped} .* inconsistent"):
             StandardLp(a, np.array(b), np.ones(3))
+
+
+def test_a_row_of_tiny_magnitude_is_independent():
+    # rank is judged on rows scaled to largest magnitude 1, so a row scaled
+    # by 1e-13 stays, and A and b stay as given
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(3, 6))
+    a[2] *= 1e-13
+    e = np.ones(6)
+    b = a @ e
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp = StandardLp(a, b, e)
+    assert lp.m == 3 and np.array_equal(lp.a, a) and np.array_equal(lp.b, b)
+    report = solve(lp, Iterate(e, np.zeros(3), e))
+    assert report.status == STATUS_OPTIMAL
+    # HiGHS's feasibility tolerance ignores the tiny row, so the oracle
+    # solves the same LP with row 2 and b_2 scaled by 1e13; the objective
+    # lies within the gap x.s = n mu of the optimum
+    a[2] *= 1e13
+    b[2] *= 1e13
+    oracle = linprog(e, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    assert oracle.status == 0
+    assert abs(report.objective - oracle.fun) <= lp.n * report.final.mu + 1e-9 * abs(oracle.fun)
+
+
+def test_row_and_column_scaling_moves_no_consistency_verdict():
+    # seeded rank-deficient LPs with rows and columns scaled by 10^U(-3, 3):
+    # a consistent b is never rejected, and a dropped row's b moved by 1e-7
+    # of the magnitude of its terms always is, by that row
+    rng = np.random.default_rng(2026)
+    for _ in range(500):
+        n = int(rng.integers(6, 40))
+        m = int(rng.integers(2, n))
+        rank = int(rng.integers(1, m))
+        a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        a *= 10.0 ** rng.uniform(-3, 3, size=(m, 1)) * 10.0 ** rng.uniform(-3, 3, size=n)
+        x = rng.uniform(0.5, 2.0, size=n)
+        b = a @ x
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert StandardLp(a, b, np.ones(n)).m == rank
+            _, kept = rank_reveal(a)
+            row = int(rng.choice(np.setdiff1d(np.arange(m), kept)))
+            b[row] += 1e-7 * (np.abs(a[row]) @ x)
+            with pytest.raises(InvalidInputError, match=f"row {row} of LP .* inconsistent"):
+                StandardLp(a, b, np.ones(n))
 
 
 def test_standard_lp_rejects_square_and_bad_dims():
@@ -137,6 +190,8 @@ def test_standard_lp_rejects_square_and_bad_dims():
         StandardLp(np.eye(3), np.ones(3), np.ones(3))
     with pytest.raises(InvalidInputError):
         StandardLp(np.ones((1, 3)), np.ones(2), np.ones(3))
+    with pytest.raises(InvalidInputError, match="^c has length 2, expected 3$"):
+        StandardLp(np.ones((1, 3)), np.ones(1), np.ones(2))
 
 
 def test_standard_lp_rejects_no_constraint_row():

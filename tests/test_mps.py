@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from optlp.errors import MpsParseError, UnsupportedMpsFeatureError
-from optlp.mps import (
-    MpsProblem,
-    format_mps,
-    from_standard_lp,
-    parse_mps,
-    to_standard_form,
-)
+from optlp.model import StandardLp
+from optlp.mps import MpsProblem, format_mps, parse_mps, to_standard_form
 from optlp.solver import generate_synthetic
 
 MINIMAL = """\
@@ -248,8 +243,7 @@ ENDATA
 
 def test_standard_form_equality_only_untouched():
     lp0, _ = generate_synthetic(9, 4, seed=5)
-    prob = from_standard_lp(lp0)
-    lp, colmap = to_standard_form(prob)
+    lp, colmap = to_standard_form(parse_mps(format_mps(lp0)))
     assert lp.n == lp0.n and lp.m == lp0.m
     assert np.array_equal(lp.a, lp0.a)
     assert np.array_equal(lp.b, lp0.b)
@@ -361,19 +355,17 @@ def test_standard_form_round_trip_feasibility():
         assert float(lp.c @ z) == pytest.approx(float(c @ struct), rel=1e-12, abs=1e-12)
 
 
-def test_serializer_idempotent():
-    rng = np.random.default_rng(321)
-    for _ in range(10):
-        prob, *_ = _random_fixture(rng)
-        once = parse_mps(format_mps(prob))
-        twice = parse_mps(format_mps(once))
-        assert once == twice
-        assert once == prob
-
-
-def test_from_standard_lp_round_trip_exact():
+def test_format_mps_round_trip_exact():
     lp0, _ = generate_synthetic(7, 3, seed=77)
-    lp, _ = to_standard_form(parse_mps(format_mps(from_standard_lp(lp0))))
+    lp, _ = to_standard_form(parse_mps(format_mps(lp0)))
     assert np.array_equal(lp.a, lp0.a)
     assert np.array_equal(lp.b, lp0.b)
     assert np.array_equal(lp.c, lp0.c)
+    # zero entries are left out and read back as zeros; the name is kept
+    lp0 = StandardLp(np.array([[1.0, 0.0, -2.5], [0.0, 3.0, 0.0]]), np.array([0.0, 1e-300]),
+                     np.array([0.0, 1.0, 0.1]), name="SPARSE")
+    text = format_mps(lp0)
+    assert not any(line.endswith(" 0.0") for line in text.splitlines())
+    lp, _ = to_standard_form(parse_mps(text))
+    assert (lp.a.tolist(), lp.b.tolist(), lp.c.tolist(), lp.name) == (
+        lp0.a.tolist(), lp0.b.tolist(), lp0.c.tolist(), "SPARSE")

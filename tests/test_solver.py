@@ -202,7 +202,7 @@ def test_a_power_of_two_scaling_scales_every_iterate_exactly(runner, seed):
 def test_solve_observer_sees_every_iteration():
     lp, start = generate_synthetic(16, 7, seed=41)
     seen = []
-    report = solve(lp, start, observer=lambda k, it, dec, sp, pair: seen.append((k, pair)))
+    report = solve(lp, start, observer=lambda k, it, dec, pair: seen.append((k, pair)))
     assert len(seen) == report.iteration_count
     assert [k for k, _ in seen] == [rec.k for rec in report.iterations]
 

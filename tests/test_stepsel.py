@@ -406,7 +406,7 @@ def test_search_below_the_f_root_loses_no_winner():
     a, x, s = (np.array(v) for v in (G_ROOT_A, G_ROOT_X, G_ROOT_S))
     live = []
     solve(StandardLp(a, a @ x, s), Iterate(x, np.zeros(2), s), SolverConfig(theta=0.7),
-          observer=lambda k, it, dec, h, pair: live.append((h, 0.7, it.mu, 4)))
+          observer=lambda k, it, dec, pair: live.append((step_polynomials(dec), 0.7, it.mu, 4)))
     origins = set()
     for h, theta, mu, n in harvested_polynomials(25) + realizable_polynomials(400) + live:
         pair, unpruned = select_step(h, theta, mu, n), unpruned_select_step(h, theta, mu)
@@ -430,7 +430,7 @@ def test_predicted_gap_is_rounded_not_cancelled():
     for theta in (0.4, 0.99):
         live = []
         solve(lp, start, SolverConfig(theta=theta, tol=1e-14),
-              observer=lambda k, it, dec, h, pair: live.append((it.mu, pair)))
+              observer=lambda k, it, dec, pair: live.append((it.mu, pair)))
         assert live
         for mu, pair in live:
             alpha = Fraction(pair.alpha)
@@ -450,8 +450,10 @@ def test_live_selections_match_extended_precision_oracle():
     live = []
     for lp, start in problems:
         for theta in (0.4, 0.99):
-            report = solve(lp, start, SolverConfig(theta=theta, tol=1e-14),
-                           observer=lambda k, it, dec, h, pair: live.append((h, theta, it.mu, pair)))
+            def observe(k, it, dec, pair):
+                live.append((step_polynomials(dec), theta, it.mu, pair))
+
+            report = solve(lp, start, SolverConfig(theta=theta, tol=1e-14), observer=observe)
             assert report.status == STATUS_OPTIMAL
     assert len(live) > 50
     for h, theta, mu, pair in live:
@@ -490,9 +492,10 @@ def test_live_solve_takes_a_g_root_step():
     a, x, s = (np.array(v) for v in (G_ROOT_A, G_ROOT_X, G_ROOT_S))
     steps = []
     report = solve(StandardLp(a, a @ x, s), Iterate(x, np.zeros(2), s), SolverConfig(theta=0.7),
-                   observer=lambda k, it, dec, h, pair: steps.append((h, it.mu, pair)))
+                   observer=lambda k, it, dec, pair: steps.append((dec, it.mu, pair)))
     assert report.status == STATUS_OPTIMAL
-    h, mu, pair = steps[0]
+    dec, mu, pair = steps[0]
+    h = step_polynomials(dec)
     assert pair.origin == report.iterations[0].origin == "g_root"
     phi, _ = mp_best_step(h, 0.7, mu)
     assert pair.predicted_mu / mu == pytest.approx(float(phi), rel=1e-12)

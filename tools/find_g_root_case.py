@@ -82,7 +82,7 @@ def live_first_step(a, x, s):
     lp, it = build(a, x, s)
     pairs = []
     report = solve(lp, it, SolverConfig(theta=THETA),
-                   observer=lambda k, it, dec, h, pair: pairs.append(pair))
+                   observer=lambda k, it, dec, pair: pairs.append(pair))
     return (pairs[0] if pairs else None), report
 
 

@@ -37,19 +37,31 @@ seed differ by a power of two alone, and so do their iterates. Run it from
 the root of a checkout, before and after a change, and compare the output:
 
     python tools/identical_solves.py
+
+The BLAS thread count moves bits: a threaded OpenBLAS splits the dgeqrt
+route's products differently, and the second set's digest with it. So
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS default to 1 before numpy is
+imported, and the first line of output states the setting; a value already
+in the environment is kept, and shows there.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import struct
 import sys
 from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
 
-import numpy as np
+# before numpy loads OpenBLAS, which reads them once
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -154,6 +166,7 @@ def cli_fingerprint() -> None:
 
 
 def main() -> int:
+    print(" ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS), flush=True)
     fingerprint(problems(), max_iter=1000)
     fingerprint(blocked_problems(), max_iter=2000)
     fingerprint(synthetic_family(20, n_max=24), max_iter=1000, tols=(1e-14, 1e-16))
