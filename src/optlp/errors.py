@@ -12,7 +12,7 @@ class InvalidInputError(OptLpError, ValueError):
 class IllConditionedError(OptLpError):
     """The direction at an iterate cannot be computed in floating point: a
     ratio x_i/s_i overflowed to inf or underflowed to 0, R1's diagonal or
-    the projected right-hand side c1 is not finite, or R1 is singular. The
+    the dual direction y is not finite, or R1 is singular. The
     message names the component at fault where one is, such as x[3]/s[3] or
     R1's diagonal 2.
     """

@@ -244,7 +244,10 @@ def residuals(lp: StandardLp, it: Iterate) -> tuple[float, float]:
             f"match problem (n={lp.n}, m={lp.m})"
         )
     # ndarray.dot is np.dot without its dispatch, with the same bits
-    primal, dual = lp.a.dot(it.x) - lp.b, lp.a.T.dot(it.y) + it.s - lp.c
+    primal, dual = lp.a.dot(it.x), lp.a.T.dot(it.y)
+    primal -= lp.b
+    dual += it.s
+    dual -= lp.c
     return norm(primal) / lp.b_scale, norm(dual) / lp.c_scale
 
 

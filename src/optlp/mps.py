@@ -9,6 +9,7 @@ is read, each with its line, rather than silently mangled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ def _parse_number(token: str, lineno: int) -> float:
         value = float(token.replace("D", "E").replace("d", "e"))
     except ValueError:
         raise MpsParseError(f"bad numeric field {token!r}", line=lineno) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise MpsParseError(f"non-finite numeric field {token!r}", line=lineno)
     return value
 
@@ -107,7 +108,7 @@ def parse_mps(text) -> MpsProblem:
             row_kind_of[row] = kind
             prob.row_kinds.append((kind, row))
         elif section == "COLUMNS":
-            if any(t.upper() == "'MARKER'" for t in tokens):
+            if "'" in raw and any(t.upper() == "'MARKER'" for t in tokens):
                 raise UnsupportedMpsFeatureError(
                     "integrality markers are not supported", line=lineno
                 )
@@ -225,9 +226,11 @@ def format_mps(lp: StandardLp) -> str:
     exactly (used by `generate`).
 
     Columns X0001.. and rows R0001.. (wider where n needs it) under the
-    objective row COST; zero entries are left out. Values are written with
-    ``repr``, so :func:`to_standard_form` of the parsed text gives A, b and
-    c bit for bit. No BOUNDS section is written: x >= 0 is the default.
+    objective row COST; zero entries are left out, except the cost of a
+    column with no nonzero entry, without which the column would be lost.
+    Values are written with ``repr``, so :func:`to_standard_form` of the
+    parsed text gives A, b and c bit for bit. No BOUNDS section is written:
+    x >= 0 is the default.
     """
     width = max(4, len(str(lp.n)))
     rows = [f"R{i + 1:0{width}d}" for i in range(lp.m)]
@@ -236,7 +239,7 @@ def format_mps(lp: StandardLp) -> str:
     lines.append("COLUMNS")
     for j, (cost, column) in enumerate(zip(lp.c.tolist(), lp.a.T.tolist())):
         col = f"X{j + 1:0{width}d}"
-        if cost != 0.0:
+        if cost != 0.0 or not any(column):
             lines.append(f"    {col}  COST  {cost!r}")
         lines += [f"    {col}  {row}  {v!r}" for row, v in zip(rows, column) if v != 0.0]
     lines.append("RHS")

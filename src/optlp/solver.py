@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .direction import (
+    Workspace,
     assemble_direction,
     build_factors,
     decompose,
@@ -105,7 +106,8 @@ def safeguarded_step(it: Iterate, direction: tuple[np.ndarray, np.ndarray],
     point violates positivity or neighborhood membership (exact arithmetic
     never needs this; floating point occasionally does, and so does a fixed
     step rule). A non-finite x or s, or a gap x.s that overflows, never
-    passes; a non-finite y raises.
+    passes; a non-finite y raises, and so does a step too small to change x
+    or s, found among the points that pass (as ``it`` did, to be accepted).
 
     Returns the accepted iterate and the alpha actually applied. A full
     step, alpha = 1, subtracts the direction as it is: 1.0 v == v bit for
@@ -115,11 +117,11 @@ def safeguarded_step(it: Iterate, direction: tuple[np.ndarray, np.ndarray],
     alpha = pair.alpha
     for _ in range(SAFEGUARD_BACKTRACKS + 1):
         xs = it.xs - dxs if alpha == 1.0 else it.xs - alpha * dxs
-        if (xs == it.xs).all():
-            raise NoFeasibleStepError("step update fell below machine precision")
-        if xs.min() > 0.0:
+        if np.minimum.reduce(xs) > 0.0:  # xs.min() without its Python wrapper
             mu, dist, xos = gap_and_distance(xs)
             if _in_neighborhood(mu, dist, cfg.theta):
+                if mu == it.mu and dist == it.neighborhood_dist and (xs == it.xs).all():
+                    raise NoFeasibleStepError("step update fell below machine precision")
                 y = it.y - dy if alpha == 1.0 else it.y - alpha * dy
                 if not norm(y) < math.inf:
                     raise NoFeasibleStepError("dual update is not finite")
@@ -183,9 +185,11 @@ def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
         return SolveReport(STATUS_OPTIMAL, records, it, lp.objective(it.x))
 
     status = STATUS_MAX_ITER
+    ws = Workspace(lp.m, lp.n)
+    debug = log.isEnabledFor(logging.DEBUG)
     for k in range(1, cfg.max_iter + 1):
         try:
-            dec = decompose(build_factors(lp, it), it)
+            dec = decompose(build_factors(lp, it, ws), it, ws)
             pair = choose(dec, it)
             if observer is not None:
                 observer(k, it, dec, pair)
@@ -201,8 +205,9 @@ def _iterate(lp: StandardLp, start: Iterate, cfg: SolverConfig, choose,
             break
         records.append(IterationRecord(k, it.mu, pair.sigma, alpha, it.neighborhood_dist,
                                        *residuals(lp, it), pair.origin))
-        log.debug("%s: k=%d mu=%.6e sigma=%.4f alpha=%.4f origin=%s",
-                  name, k, it.mu, pair.sigma, alpha, pair.origin)
+        if debug:
+            log.debug("%s: k=%d mu=%.6e sigma=%.4f alpha=%.4f origin=%s",
+                      name, k, it.mu, pair.sigma, alpha, pair.origin)
         if exact is not None or stopping_criterion(lp, it, cfg.tol):
             status = STATUS_OPTIMAL
             break

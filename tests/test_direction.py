@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 import optlp.direction
 from optlp.cli import read_start_file
 from optlp.direction import (
+    Workspace,
     assemble_direction,
     build_factors,
     decompose,
@@ -187,7 +188,7 @@ def planting_nan(row):
 @pytest.mark.parametrize("where", ["diagonal", "reflector"])
 def test_non_finite_factor_entry_is_ill_conditioned(both_routes, monkeypatch, where):
     # build_factors checks R1's diagonal alone; a NaN below it, in a
-    # reflector, reaches c1, which decompose checks
+    # reflector, reaches c1 and so y, which decompose checks
     for lp, start in both_routes:
         row = 2 if where == "diagonal" else lp.n - 1
         with monkeypatch.context() as patch:
@@ -197,14 +198,65 @@ def test_non_finite_factor_entry_is_ill_conditioned(both_routes, monkeypatch, wh
 
 
 def test_non_finite_entry_above_r1_diagonal_breaks_down(both_routes, monkeypatch):
-    # no scan sees a NaN above R1's diagonal: it reaches y alone, and the
-    # step's check on the dual update ends the solve
+    # no scan sees a NaN above R1's diagonal: it reaches y alone, which
+    # decompose checks, and the solve ends in breakdown
     for lp, start in both_routes:
         with monkeypatch.context() as patch:
             patch.setattr(optlp.direction, "householder_qr", planting_nan(0))
+            with pytest.raises(IllConditionedError, match="^dual direction y is not finite$"):
+                decompose(build_factors(lp, start), start)
             report = solve(lp, start)
         assert report.status == STATUS_BREAKDOWN
         assert report.iteration_count == 0
+
+
+def test_factor_input_is_64_byte_aligned_on_both_routes(monkeypatch):
+    # every iteration of a solve factors D A^T in its workspace's buffer,
+    # which starts on a 64-byte boundary: dgeqrf on AFIRO, dgeqrt at 64 rows
+    lp, _ = to_standard_form(parse_mps((NETLIB / "afiro.mps").read_bytes()))
+    afiro = (lp, read_start_file(NETLIB / "afiro.start", lp.n, lp.m))
+    seen = []
+
+    def recording_qr(mat):
+        qr, t = householder_qr(mat)
+        seen.append((mat.ctypes.data % 64, mat.flags.f_contiguous, qr is mat, t.ndim))
+        return qr, t
+
+    monkeypatch.setattr(optlp.direction, "householder_qr", recording_qr)
+    for problem, route in ((afiro, 1), (generate_synthetic(160, 64, 1), 2)):
+        seen.clear()
+        report = solve(*problem, SolverConfig(max_iter=5))
+        assert report.iteration_count == 5
+        assert seen == [(0, True, True, route)] * 5
+
+
+def test_a_solves_workspace_gives_the_same_bits_as_a_fresh_one(both_routes):
+    # one workspace, reused over several iterates as a solve reuses it,
+    # gives factors and components identical to fresh ones
+    for lp, start in both_routes:
+        ws = Workspace(lp.m, lp.n)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            it = random_interior_iterate(lp, start, rng)
+            fresh = build_factors(lp, it)
+            factors = build_factors(lp, it, ws)
+            assert np.shares_memory(factors[0], ws.dat)
+            for a, b in zip(factors, fresh):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip(decompose(factors, it, ws), decompose(fresh, it)):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_an_observer_may_keep_every_dec(both_routes):
+    # (pq, y) are fresh on every iteration, so what an observer keeps is
+    # not overwritten by the iterations after it
+    for lp, start in both_routes:
+        kept = []
+        report = solve(lp, start, observer=lambda k, it, dec, pair: kept.append(
+            (dec, [a.tobytes() for a in dec])))
+        assert len(kept) == report.iteration_count > 1
+        for dec, saved in kept:
+            assert [a.tobytes() for a in dec] == saved
 
 
 def test_decompose_centered_point_merges_pq(problem):

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optlp.errors import MpsParseError, UnsupportedMpsFeatureError
 from optlp.model import StandardLp
@@ -369,3 +372,63 @@ def test_format_mps_round_trip_exact():
     lp, _ = to_standard_form(parse_mps(text))
     assert (lp.a.tolist(), lp.b.tolist(), lp.c.tolist(), lp.name) == (
         lp0.a.tolist(), lp0.b.tolist(), lp0.c.tolist(), "SPARSE")
+
+
+def test_format_mps_keeps_a_column_with_no_nonzero():
+    # the middle column has no coefficient and no cost: its cost, 0.0, is
+    # written, so that the column is read back
+    lp0 = StandardLp([[1.0, 0.0, 2.0]], [3.0], [1.0, 0.0, 1.0])
+    text = format_mps(lp0)
+    assert "    X0002  COST  0.0" in text.splitlines()
+    lp, colmap = to_standard_form(parse_mps(text))
+    assert colmap == {"X0001": 0, "X0002": 1, "X0003": 2}
+    assert (lp.a.tolist(), lp.b.tolist(), lp.c.tolist()) == (
+        lp0.a.tolist(), lp0.b.tolist(), lp0.c.tolist())
+
+
+# MPS-like text for the fuzz run: sections in any order, often after a
+# valid ROWS section, each with lines of the fields its kind takes, made of
+# a few names and numbers (some malformed), or of arbitrary text. Whole
+# lines are drawn, which keeps the draws per example few and the run short
+_FUZZ_NAMES = ("COST", "R1", "R2", "X1")
+_FUZZ_NUMBERS = ("0", "1", "-1.5", "1D3", "1e400", "nan", "1_0", "1.5x")
+_FUZZ_LINES = {
+    "ROWS": [f" {kind}  {row}" for kind in "NELGQ" for row in _FUZZ_NAMES] + [" N", " E  R1  R2"],
+    "COLUMNS": [f"    {col}  {row}  {v}" for col, row, v
+                in itertools.product(("X1", "X2"), _FUZZ_NAMES, _FUZZ_NUMBERS)]
+    + ["    X1  COST  1  R1  2", "    X2  R1  1  R2", "    X1  'MARKER'  'INTORG'", "    X1"],
+    "RHS": [f"    {lead}{row}  {v}" for lead, row, v
+            in itertools.product(("", "RHS  "), _FUZZ_NAMES, _FUZZ_NUMBERS)]
+    + ["    RHS  R1  1  R2  2", "    RHS  R1  1  R1  2", "    RHS"],
+    "BOUNDS": [f" {kind} BND  {col}{v}" for kind, col, v
+               in itertools.product(("LO", "UP", "FX", "MI", "PL", "FR", "XX"), ("X1", "X9"),
+                                    ("", "  0", "  0.0", "  1", "  nan"))],
+}
+_fuzz_junk = st.text(max_size=6)
+_fuzz_section = st.one_of(
+    *(st.tuples(st.just(head), st.lists(st.one_of(st.sampled_from(lines),
+                                                   _fuzz_junk.map("    ".__add__)), max_size=4))
+      for head, lines in _FUZZ_LINES.items()),
+    st.tuples(st.sampled_from(["NAME  FUZZ", "RANGES", "ENDATA", "OBJSENSE", "* note", ""]),
+              st.lists(_fuzz_junk, max_size=2)))
+_fuzz_text = st.tuples(st.sampled_from(["", "ROWS\n N  COST\n E  R1\n"]),
+                       st.lists(_fuzz_section, max_size=5)).map(
+    lambda t: t[0] + "\n".join(line for head, lines in t[1] for line in (head, *lines)))
+
+
+@settings(max_examples=200)
+@given(st.one_of(_fuzz_text, _fuzz_text.map(str.encode), st.binary(max_size=40)))
+def test_random_mps_text_parses_or_is_rejected_with_its_line(text):
+    # every input parses or ends in an MPS error; a rejection of a line
+    # names it, and only file-level faults carry no line
+    try:
+        prob = parse_mps(text)
+    except MpsParseError as exc:
+        if exc.line is None:
+            assert str(exc).startswith(("no objective (N) row", "input is not UTF-8"))
+        else:
+            lines = (text.decode() if isinstance(text, bytes) else text).splitlines()
+            assert 1 <= exc.line <= len(lines)
+            assert str(exc).startswith(f"line {exc.line}: ")
+    else:
+        assert isinstance(prob, MpsProblem)

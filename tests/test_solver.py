@@ -352,6 +352,26 @@ def test_safeguarded_step_vanishing_update_raises():
                          SolverConfig())
 
 
+@pytest.mark.parametrize("size", [0.0, 1e-300], ids=["zero", "below precision"])
+def test_a_step_that_moves_nothing_is_a_breakdown(monkeypatch, size):
+    # a direction that leaves x and s as they are, zero or too small to
+    # change them, gives no progress: the safeguard says so, and both
+    # drivers end in numerical_breakdown before any iteration is recorded
+    import optlp.solver as solver_mod
+
+    lp, start = generate_synthetic(10, 4, seed=6)
+    direction = (np.full(2 * lp.n, size), np.full(lp.m, size))
+    assert (start.xs - direction[0] == start.xs).all()
+    pair = CandidatePair(sigma=0.5, alpha=1.0, predicted_mu=0.5, origin="shortstep")
+    with pytest.raises(NoFeasibleStepError, match="^step update fell below machine precision$"):
+        safeguarded_step(start, direction, pair, SolverConfig(theta=0.4))
+    monkeypatch.setattr(solver_mod, "assemble_direction", lambda dec, sigma: direction)
+    for runner in (solve, solve_shortstep_baseline):
+        report = runner(lp, start)
+        assert report.status == STATUS_BREAKDOWN
+        assert report.iterations == [] and report.final is start
+
+
 def test_safeguarded_step_halves_a_trial_whose_gap_overflows():
     start = Iterate([1.0, 1.0], [0.0], [1.0, 1.0])
     pair = CandidatePair(sigma=0.5, alpha=1.0, predicted_mu=0.5, origin="shortstep")
